@@ -16,6 +16,7 @@ func BenchmarkFig11Point(b *testing.B)       { Fig11Point(b) }
 func BenchmarkFig11PointLP4(b *testing.B)    { Fig11PointLP4(b) }
 
 func BenchmarkScalePointFlow(b *testing.B) { ScalePointFlow(b) }
+func BenchmarkFlowsimRun(b *testing.B)     { FlowsimRun(b) }
 
 // The packet twin replays the same 10⁵ flows packet by packet (~100M
 // events per op), so it is excluded from `make bench-smoke`'s -short pass;

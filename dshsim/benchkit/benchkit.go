@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"dsh/dshsim"
+	"dsh/internal/flowsim"
 	"dsh/internal/sim"
 	"dsh/internal/topology"
 	"dsh/internal/transport"
@@ -324,6 +325,25 @@ func ScalePointPacket(b *testing.B) { scalePoint(b, dshsim.FidelityPacket) }
 // collect() derives fidelity_speedup (packet ns/op ÷ flow ns/op, floor 50×)
 // and the fct_err_p50/p99 accuracy fields from this pair.
 func ScalePointFlow(b *testing.B) { scalePoint(b, dshsim.FidelityFlow) }
+
+// FlowsimRun measures the fluid engine alone: flowsim.Run over the DSH
+// 10⁵-flow scale point's prebuilt link graph and specs, with the topology
+// build, schedule, path walk and FCT records of ScalePointFlow excluded —
+// the two kernels side by side separate engine time from dshsim glue.
+func FlowsimRun(b *testing.B) {
+	cfg, specs, horizon := dshsim.ScalePointFlowInputs(dshsim.DSH, scaleBenchTarget, 1)
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := flowsim.Run(cfg, specs, horizon)
+		if res.Unfinished == len(specs) {
+			b.Fatal("fluid engine finished no flows")
+		}
+		events += res.Events
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
 
 func scalePoint(b *testing.B, fidelity string) {
 	st := &dshsim.SweepStats{}

@@ -138,12 +138,18 @@ var allocBudgets = map[string]float64{
 	// the ceilings are per-op construction costs, not steady-state leaks.
 	"FatTreePoint":    72_000,  // measured 65,331 (PR 8)
 	"FatTreePointLP4": 115_000, // measured 103,888 (PR 8): +1024 LP sims + mailboxes
-	// The fidelity pair schedules ~10⁵ flows per op, so both ceilings are
-	// dominated by workload generation and per-flow state (~1.3 allocs per
-	// flow), not steady-state leaks; the flow kernel's ceiling additionally
-	// pins that the fluid engine allocates nothing per recompute event.
+	// The packet kernel schedules ~10⁵ flows per op, so its ceiling is
+	// dominated by per-flow transport state (~1.3 allocs per flow), not
+	// steady-state leaks.
 	"ScalePointPacket": 145_000, // measured 131,635 (PR 9)
-	"ScalePointFlow":   145_000, // measured 128,138 (PR 9)
+	// The flow kernel's paths share one arena, the generators presize their
+	// schedules and FCT records are reserved per tag, so an op is a few
+	// hundred slice allocations: one allocation per flow or per recompute
+	// (~16.5k per op) creeping back in fails this ceiling many times over.
+	"ScalePointFlow": 675, // measured 614; 128,138 before the path arena
+	// The fluid engine alone: its fixed per-Run slices plus amortized growth
+	// of the heap and scratch lists, none per recompute event.
+	"FlowsimRun": 54, // measured 49
 }
 
 // eventBudgets cap events processed per op. Event counts are deterministic
@@ -165,6 +171,7 @@ var eventBudgets = map[string]float64{
 	// events — the two ceilings differ by ~800×.
 	"ScalePointPacket": 225_000_000, // measured 203,351,913 (PR 9)
 	"ScalePointFlow":   270_000,     // measured 243,412 (PR 9)
+	"FlowsimRun":       270_000,     // the same 243,412 engine events as ScalePointFlow
 }
 
 // heapMaxBudgets cap the event heap's high-water mark, the observable the
@@ -275,6 +282,7 @@ func defaultKernels() []kernel {
 		{"Fig11", Fig11},
 		{"FatTreePoint", FatTreePoint},
 		{"FatTreePointLP4", FatTreePointLP4},
+		{"FlowsimRun", FlowsimRun},
 		{"ScalePointFlow", ScalePointFlow},
 		{"ScalePointPacket", ScalePointPacket},
 	}

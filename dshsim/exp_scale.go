@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"dsh/internal/flowsim"
 	"dsh/internal/metrics"
 	"dsh/units"
 )
@@ -101,17 +102,9 @@ func ScalePoint(scheme Scheme, fidelity string, target int, seed int64, lpWorker
 	if fidelity != "" && fidelity != FidelityPacket {
 		lpWorkers = 0
 	}
-	nc := NetworkConfig{Scheme: scheme, Transport: TransportDCQCN, Seed: seed, LPWorkers: lpWorkers}
-	nc.bufferHook = paperPressureBuffers
-	ls := scaleFabric(nc)
-	specs, dur := scaleSpecs(seed, ls.LeafHosts, target)
-	res := Run(ls.Network, RunConfig{
-		Specs:    specs,
-		Duration: dur,
-		Drain:    true,
-		DrainCap: 4 * dur,
-		Fidelity: fidelity,
-	})
+	net, rc := scalePointSetup(scheme, target, seed, lpWorkers)
+	rc.Fidelity = fidelity
+	res := Run(net, rc)
 	stats.note(res)
 	out := ScaleSchemeStats{
 		Completed:   res.FCT.Count(""),
@@ -122,7 +115,28 @@ func ScalePoint(scheme Scheme, fidelity string, target int, seed int64, lpWorker
 		HotLinks:    res.HotLinks,
 		PacketFlows: res.PacketFlows,
 	}
-	return out, len(specs), dur
+	return out, len(rc.Specs), rc.Duration
+}
+
+// scalePointSetup builds one scale point's fabric and its drained run over
+// the calibrated schedule.
+func scalePointSetup(scheme Scheme, target int, seed int64, lpWorkers int) (*Network, RunConfig) {
+	nc := NetworkConfig{Scheme: scheme, Transport: TransportDCQCN, Seed: seed, LPWorkers: lpWorkers}
+	nc.bufferHook = paperPressureBuffers
+	ls := scaleFabric(nc)
+	specs, dur := scaleSpecs(seed, ls.LeafHosts, target)
+	return ls.Network, RunConfig{Specs: specs, Duration: dur, Drain: true, DrainCap: 4 * dur}
+}
+
+// ScalePointFlowInputs returns exactly what a flow-fidelity ScalePoint
+// hands the fluid engine: the link graph, the specs with their resolved
+// paths, and the horizon. Exported for the benchkit FlowsimRun kernel,
+// which times flowsim.Run without the graph build and path walk.
+func ScalePointFlowInputs(scheme Scheme, target int, seed int64) (flowsim.Config, []flowsim.Spec, units.Time) {
+	net, rc := scalePointSetup(scheme, target, seed, 0)
+	g := buildFlowGraph(net, net.UserData.(*runState).nc)
+	g.cfg.Quantum = rc.FlowQuantum
+	return g.cfg, g.flowSpecs(rc.Specs), fidelityHorizon(rc)
 }
 
 // allFlowPercentile computes an FCT percentile over every tag's records

@@ -5,8 +5,9 @@
 package dshsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsh/internal/flowsim"
 	"dsh/internal/metrics"
@@ -51,14 +52,19 @@ const ecnOperatingPoint = 250 * units.KB
 
 // flowGraph is the flow-level view of a built network: directed links with
 // capacities and DT/PFC parameters lifted from the real switches' MMUs, and
-// an endpoint index for walking packet-identical ECMP paths.
+// a dense hop table for walking packet-identical ECMP paths.
 type flowGraph struct {
-	net    *Network
-	cfg    flowsim.Config
-	linkOf map[graphEndpoint]int32
+	net *Network
+	cfg flowsim.Config
+	// hops holds one entry per (node, port), node-major: node's ports are
+	// hops[hopBase[node]:hopBase[node+1]].
+	hopBase []int32
+	hops    []graphHop
 }
 
-type graphEndpoint struct{ node, port int }
+// graphHop is one egress endpoint: its flow-graph link (−1 when the link is
+// down) and the node at the far end.
+type graphHop struct{ link, next int32 }
 
 // buildFlowGraph extracts the graph from a network built by dshsim.New*.
 // Shared-segment sizes (Bs) and per-port headroom come straight from each
@@ -70,7 +76,19 @@ func buildFlowGraph(net *Network, nc NetworkConfig) *flowGraph {
 	if ft == nil {
 		panic("dshsim: flow fidelity requires computed routes")
 	}
-	g := &flowGraph{net: net, linkOf: make(map[graphEndpoint]int32, len(net.Links))}
+	g := &flowGraph{net: net, hopBase: make([]int32, net.NumNodes()+1)}
+	for _, l := range net.Links {
+		if n := int32(l.FromPort + 1); n > g.hopBase[l.From+1] {
+			g.hopBase[l.From+1] = n
+		}
+	}
+	for i := 1; i < len(g.hopBase); i++ {
+		g.hopBase[i] += g.hopBase[i-1]
+	}
+	g.hops = make([]graphHop, g.hopBase[len(g.hopBase)-1])
+	for i := range g.hops {
+		g.hops[i].link = -1
+	}
 	g.cfg.Switches = make([]flowsim.Switch, len(net.Switches))
 	for i, sw := range net.Switches {
 		g.cfg.Switches[i] = flowsim.Switch{Shared: sw.MMU().SharedCap(), Alpha: net.Cfg.Alpha}
@@ -96,7 +114,7 @@ func buildFlowGraph(net *Network, nc NetworkConfig) *flowGraph {
 			ti := l.To - len(net.Hosts)
 			switchIn[ti] = append(switchIn[ti], li)
 		}
-		g.linkOf[graphEndpoint{l.From, l.FromPort}] = li
+		g.hops[int(g.hopBase[l.From])+l.FromPort] = graphHop{link: li, next: int32(l.To)}
 		g.cfg.Links = append(g.cfg.Links, fl)
 	}
 	for i := range g.cfg.Links {
@@ -113,34 +131,50 @@ func buildFlowGraph(net *Network, nc NetworkConfig) *flowGraph {
 	return g
 }
 
-// path walks the ECMP route of one flow, reproducing exactly the per-hop
-// port choices NodeTable.Route would make for its packets.
-func (g *flowGraph) path(src, dst, flowID int) []int32 {
+// appendPath appends the ECMP route of one flow to p, reproducing exactly
+// the per-hop port choices NodeTable.Route would make for its packets.
+func (g *flowGraph) appendPath(p []int32, src, dst, flowID int) []int32 {
 	ft := g.net.FlatRoutes()
-	p := make([]int32, 0, 8)
 	node := src
 	for hops := 0; node != dst; hops++ {
 		if hops > 64 {
 			panic(fmt.Sprintf("dshsim: path %d→%d did not converge", src, dst))
 		}
 		port := ft.PortFor(node, dst, flowID)
-		li, ok := g.linkOf[graphEndpoint{node, port}]
-		if !ok {
+		h := graphHop{link: -1}
+		if i := int(g.hopBase[node]) + port; port >= 0 && i < int(g.hopBase[node+1]) {
+			h = g.hops[i]
+		}
+		if h.link < 0 {
 			panic(fmt.Sprintf("dshsim: no link at node %d port %d", node, port))
 		}
-		p = append(p, li)
-		node, _, _ = g.net.Peer(node, port)
+		p = append(p, h.link)
+		node = int(h.next)
 	}
 	return p
 }
 
+// hopsPerPath sizes the path arena: the longest route of a two-tier
+// fabric (host–leaf–spine–leaf–host). Deeper fabrics grow the arena.
+const hopsPerPath = 4
+
 // flowSpecs converts a workload schedule into flowsim specs with resolved
-// paths.
+// paths, all carved out of one arena.
 func (g *flowGraph) flowSpecs(specs []workload.FlowSpec) []flowsim.Spec {
 	out := make([]flowsim.Spec, len(specs))
+	arena := make([]int32, 0, hopsPerPath*len(specs))
 	for i, sp := range specs {
-		out[i] = flowsim.Spec{ID: sp.ID, Size: sp.Size, Start: sp.Start,
-			Path: g.path(sp.Src, sp.Dst, sp.ID)}
+		n := len(arena)
+		arena = g.appendPath(arena, sp.Src, sp.Dst, sp.ID)
+		out[i] = flowsim.Spec{ID: sp.ID, Size: sp.Size, Start: sp.Start, Path: arena[n:len(arena):len(arena)]}
+	}
+	// Growing the arena may have moved it; re-point every path at the
+	// final copy so the earlier ones can be collected.
+	off := 0
+	for i := range out {
+		n := len(out[i].Path)
+		out[i].Path = arena[off : off+n : off+n]
+		off += n
 	}
 	return out
 }
@@ -251,26 +285,51 @@ func runHybrid(net *Network, st *runState, rc RunConfig) *Result {
 // order, deterministically) for every finished flow not marked skip.
 func recordFlowFCTs(c *metrics.FCTCollector, specs []workload.FlowSpec, flows []flowsim.FlowResult, skip []bool) {
 	order := make([]int32, 0, len(specs))
+	var tags []fctTag
 	for i := range specs {
 		if skip != nil && skip[i] {
 			continue
 		}
-		c.Intern(specs[i].Tag)
+		t := lookupTag(c, &tags, specs[i].Tag)
 		if flows[i].FCT >= 0 {
 			order = append(order, int32(i))
+			t.n++
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return flows[order[a]].Finish < flows[order[b]].Finish
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(flows[a].Finish, flows[b].Finish)
 	})
+	for _, t := range tags {
+		c.Reserve(t.tag, t.n)
+	}
 	for _, i := range order {
 		sp := &specs[i]
 		f := transport.Flow{
 			ID: sp.ID, Src: sp.Src, Dst: sp.Dst, Class: sp.Class,
 			Size: sp.Size, Start: sp.Start, Tag: sp.Tag,
-			TagID:      c.Intern(sp.Tag),
+			TagID:      lookupTag(c, &tags, sp.Tag).id,
 			FinishedAt: sp.Start + flows[i].FCT,
 		}
 		c.Record(&f)
 	}
+}
+
+// fctTag is one distinct flow tag: its collector ID and how many finished
+// flows carry it.
+type fctTag struct {
+	tag string
+	id  int32
+	n   int
+}
+
+// lookupTag returns tag's entry, interning it on first sight. A schedule
+// carries a handful of tags, so a linear scan beats a map lookup per flow.
+func lookupTag(c *metrics.FCTCollector, tags *[]fctTag, tag string) *fctTag {
+	for i := range *tags {
+		if (*tags)[i].tag == tag {
+			return &(*tags)[i]
+		}
+	}
+	*tags = append(*tags, fctTag{tag: tag, id: c.Intern(tag)})
+	return &(*tags)[len(*tags)-1]
 }

@@ -167,9 +167,13 @@ type Port struct {
 	// delivered (the stale-delivery guard the fault layer relies on).
 	epoch int64
 
-	// wireDrops counts packets lost to a down link: serialized into a dead
-	// link, invalidated mid-flight by a flap, or arriving while down.
+	// wireDrops counts packets serialized into a dead link (txDone, run by
+	// the sending LP); lateDrops counts packets invalidated mid-flight by a
+	// flap or arriving while down (deliver, run by the receiving LP when
+	// the wire crosses LPs). Each counter has exactly one writing LP, so
+	// the partitioned engine never races on them.
 	wireDrops int64
+	lateDrops int64
 
 	// extra is a one-way propagation-delay skew added on top of cfg.Prop
 	// (fault injection: asymmetric latency). lastDeliverAt clamps delivery
@@ -347,7 +351,7 @@ func (p *Port) Up() bool { return p.up }
 
 // WireDrops counts packets this port lost to a down link: serialized while
 // down, invalidated mid-flight by a flap, or arriving while down.
-func (p *Port) WireDrops() int64 { return p.wireDrops }
+func (p *Port) WireDrops() int64 { return p.wireDrops + p.lateDrops }
 
 // SetExtraDelay adds a one-way propagation-delay skew on top of the
 // configured Prop (fault injection). Deliveries already in flight keep
@@ -646,7 +650,7 @@ func (p *Port) deliver(pkt *packet.Packet, epoch int64) {
 	if p.up && epoch == p.epoch {
 		p.peer.Receive(pkt)
 	} else {
-		p.wireDrops++
+		p.lateDrops++
 		pkt.Release()
 	}
 }

@@ -16,9 +16,10 @@
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dsh/units"
 )
@@ -175,13 +176,13 @@ type flowState struct {
 }
 
 type linkState struct {
-	capBps  float64 // bytes per picosecond
-	alloc   float64 // sum of active flow rates
-	queue   float64 // modelled occupancy (bytes)
+	capBps      float64 // bytes per picosecond
+	alloc       float64 // sum of active flow rates
+	queue       float64 // modelled occupancy (bytes)
 	pausedUntil float64
 	xoffDelta   float64
-	sw      int32
-	paused  bool
+	sw          int32
+	paused      bool
 	// tripped marks an egress queue whose Xoff crossing already issued a
 	// pause; it re-arms when that pause window expires.
 	tripped bool
@@ -194,7 +195,8 @@ type linkState struct {
 	// hot ones among them (warm classification).
 	nAct int32
 	nHot int32
-	// waterfill scratch
+	// waterfill scratch: the capacity left for the nUn unfrozen flows
+	// crossing the link.
 	remCap float64
 	nUn    int32
 }
@@ -207,27 +209,35 @@ type heapEntry struct {
 
 // engine is the per-Run state.
 type engine struct {
-	cfg    Config
-	specs  []Spec
-	flows  []flowState
-	links  []linkState
-	swSumQ []float64
+	cfg      Config
+	specs    []Spec
+	flows    []flowState
+	links    []linkState
+	swSumQ   []float64
 	swShared []float64
 	swAlpha  []float64
-	heap   []heapEntry
+	heap     []heapEntry
 	// actList holds indices of possibly-active flows; compacted at each
 	// waterfill so per-boundary work scales with live flows, not total.
 	actList []int32
-	active  int
+	// Waterfill scratch, reused across passes: the flows not yet frozen
+	// (in actList order), the links that carry one (in any order, with
+	// livePos each one's slot), and per link the fair share remCap/nUn,
+	// valid while the link is live.
+	unfrozen   []int32
+	liveLinks  []int32
+	livePos    []int32
+	ratio      []float64
+	active     int
 	events     int64
 	pauses     int
 	pausedTime float64 // Σ over links of time spent paused
 	maxQ       float64
-	hotFrac  float64
-	ccDrain  float64
-	ecnClamp float64
-	conv     float64
-	quantum  float64
+	hotFrac    float64
+	ccDrain    float64
+	ecnClamp   float64
+	conv       float64
+	quantum    float64
 }
 
 const (
@@ -258,6 +268,8 @@ func newEngine(cfg Config, specs []Spec) *engine {
 		e.hotFrac = DefaultHotFraction
 	}
 	e.links = make([]linkState, len(cfg.Links))
+	e.ratio = make([]float64, len(cfg.Links))
+	e.livePos = make([]int32, len(cfg.Links))
 	for i, l := range cfg.Links {
 		if l.Cap <= 0 {
 			panic(fmt.Sprintf("flowsim: link %d has rate %v", i, l.Cap))
@@ -316,8 +328,8 @@ func (e *engine) run(horizon units.Time) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return e.specs[order[a]].Start < e.specs[order[b]].Start
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(e.specs[a].Start, e.specs[b].Start)
 	})
 
 	hzn := math.Inf(1)
@@ -613,6 +625,13 @@ func (e *engine) advanceQueues(t, dt float64) {
 // crossing a bottleneck link at that share, subtract, and continue. Flows
 // whose path crosses a paused link are held at rate zero (their stall time
 // accrues until the next pass).
+//
+// Each round visits only the still-unfrozen flows, in actList order, and
+// only the links that still carry one; a link's share remCap/nUn is cached
+// and recomputed from the same operands whenever either changes. Frozen
+// flows contribute nothing to a round, so this freezes exactly the flows,
+// in exactly the order, that a full rescan of actList would — every float
+// is the same.
 func (e *engine) waterfill(t float64) {
 	// Compact the active list: completed flows drop out here.
 	live := e.actList[:0]
@@ -636,7 +655,8 @@ func (e *engine) waterfill(t float64) {
 	// Integrate the active flows to t and classify. prev keeps each flow's
 	// pre-pass rate so an unchanged share does not invalidate its heap
 	// entry (a constant rate leaves the predicted finish instant intact).
-	unfrozen := 0
+	links, ratio := e.links, e.ratio
+	unfrozen := e.unfrozen[:0]
 	for _, fi := range e.actList {
 		f := &e.flows[fi]
 		f.rem -= f.rate * (t - f.upTo)
@@ -648,8 +668,9 @@ func (e *engine) waterfill(t float64) {
 		}
 		f.upTo = t
 		f.blocked = false
-		for _, li := range e.specs[fi].Path {
-			l := &e.links[li]
+		path := e.specs[fi].Path
+		for _, li := range path {
+			l := &links[li]
 			if l.paused {
 				f.blocked = true
 			}
@@ -659,9 +680,13 @@ func (e *engine) waterfill(t float64) {
 			if l.nHot > 0 {
 				f.warm = true
 			}
+			l.nUn++ // taken back below if the flow is blocked
 		}
 		prev := f.rate
 		if f.blocked {
+			for _, li := range path {
+				links[li].nUn--
+			}
 			if prev != 0 {
 				f.rate = 0
 				f.gen++
@@ -670,65 +695,75 @@ func (e *engine) waterfill(t float64) {
 		}
 		f.prevRate = prev
 		f.rate = -1 // mark unfrozen
-		for _, li := range e.specs[fi].Path {
-			e.links[li].nUn++
+		unfrozen = append(unfrozen, fi)
+	}
+	// Live links carry unfrozen flows; livePos is each one's slot in
+	// liveLinks, so a link leaves the set in O(1) once its last unfrozen
+	// flow freezes. Every link on an unfrozen flow's path is live.
+	liveLinks, livePos := e.liveLinks[:0], e.livePos
+	for i := range links {
+		if l := &links[i]; l.nUn > 0 {
+			ratio[i] = l.remCap / float64(l.nUn)
+			livePos[i] = int32(len(liveLinks))
+			liveLinks = append(liveLinks, int32(i))
 		}
-		unfrozen++
 	}
 
-	for unfrozen > 0 {
+	for len(unfrozen) > 0 {
 		share := math.Inf(1)
-		for i := range e.links {
-			l := &e.links[i]
-			if l.nUn > 0 {
-				s := l.remCap / float64(l.nUn)
-				if s < share {
-					share = s
-				}
+		for _, li := range liveLinks {
+			if r := ratio[li]; r < share {
+				share = r
 			}
 		}
 		if math.IsInf(share, 1) {
 			// No constraining link (cannot happen: every path has links);
 			// freeze the rest at their access cap.
-			for _, fi := range e.actList {
-				f := &e.flows[fi]
-				if f.active && f.rate < 0 {
-					e.setRate(int(fi), e.accessCap(int(fi)))
-					unfrozen--
-				}
+			for _, fi := range unfrozen {
+				e.setRate(int(fi), e.accessCap(int(fi)))
 			}
+			unfrozen = unfrozen[:0]
 			break
 		}
 		limit := share * (1 + relEps)
-		// Freeze every unfrozen flow crossing a bottleneck-level link.
-		for _, fi := range e.actList {
-			f := &e.flows[fi]
-			if !f.active || f.rate >= 0 || f.blocked {
-				continue
-			}
+		// Freeze every unfrozen flow crossing a bottleneck-level link; the
+		// survivors stay in order for the next round.
+		n := 0
+		for _, fi := range unfrozen {
+			path := e.specs[fi].Path
 			hit := false
-			for _, li := range e.specs[fi].Path {
-				l := &e.links[li]
-				if l.nUn > 0 && l.remCap/float64(l.nUn) <= limit {
+			for _, li := range path {
+				if ratio[li] <= limit {
 					hit = true
 					break
 				}
 			}
 			if !hit {
+				unfrozen[n] = fi
+				n++
 				continue
 			}
-			for _, li := range e.specs[fi].Path {
-				l := &e.links[li]
+			for _, li := range path {
+				l := &links[li]
 				l.nUn--
 				l.remCap -= share
 				if l.remCap < 0 {
 					l.remCap = 0
 				}
+				if l.nUn > 0 {
+					ratio[li] = l.remCap / float64(l.nUn)
+					continue
+				}
+				last := liveLinks[len(liveLinks)-1]
+				livePos[last] = livePos[li]
+				liveLinks[livePos[li]] = last
+				liveLinks = liveLinks[:len(liveLinks)-1]
 			}
 			e.setRate(int(fi), share)
-			unfrozen--
 		}
+		unfrozen = unfrozen[:n]
 	}
+	e.unfrozen, e.liveLinks = unfrozen, liveLinks
 	// Rebuild alloc from final rates.
 	for _, fi := range e.actList {
 		f := &e.flows[fi]
@@ -736,7 +771,7 @@ func (e *engine) waterfill(t float64) {
 			continue
 		}
 		for _, li := range e.specs[fi].Path {
-			e.links[li].alloc += f.rate
+			links[li].alloc += f.rate
 		}
 	}
 }
@@ -821,36 +856,46 @@ func (e *engine) pushFinish(idx int) {
 	if f.rate <= 0 {
 		return
 	}
-	at := f.upTo + f.rem/f.rate
-	e.heap = append(e.heap, heapEntry{at: at, idx: int32(idx), gen: f.gen})
-	i := len(e.heap) - 1
+	x := heapEntry{at: f.upTo + f.rem/f.rate, idx: int32(idx), gen: f.gen}
+	e.heap = append(e.heap, x)
+	// Sift up by moving parents into the hole: the same comparisons, and
+	// so the same array, as swapping x up level by level.
+	h := e.heap
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if e.heap[p].at <= e.heap[i].at {
+		if h[p].at <= x.at {
 			break
 		}
-		e.heap[p], e.heap[i] = e.heap[i], e.heap[p]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = x
 }
 
 func (e *engine) heapPop() {
 	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
+	h := e.heap[:n]
+	x := e.heap[n]
+	e.heap = h
+	if n == 0 {
+		return
+	}
+	// Sift the former last entry down from the root through a hole.
 	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+1 < n && e.heap[c+1].at < e.heap[c].at {
+		if c+1 < n && h[c+1].at < h[c].at {
 			c++
 		}
-		if e.heap[i].at <= e.heap[c].at {
+		if x.at <= h[c].at {
 			break
 		}
-		e.heap[i], e.heap[c] = e.heap[c], e.heap[i]
+		h[i] = h[c]
 		i = c
 	}
+	h[i] = x
 }

@@ -188,7 +188,7 @@ func (b Background) Generate(rng *rand.Rand, duration units.Time, firstID int) [
 	flowsPerSec := bytesPerSec / float64(b.Dist.Mean())
 	meanGapPs := float64(units.Second) / flowsPerSec
 
-	var specs []FlowSpec
+	specs := make([]FlowSpec, 0, expectedArrivals(duration, meanGapPs))
 	id := firstID
 	for t := nextExp(rng, meanGapPs); t < float64(duration); t += nextExp(rng, meanGapPs) {
 		src := b.Hosts[rng.Intn(len(b.Hosts))]
@@ -251,14 +251,15 @@ func (ic Incast) Generate(rng *rand.Rand, duration units.Time, firstID int) []Fl
 	eventsPerSec := bytesPerSec / eventBytes
 	meanGapPs := float64(units.Second) / eventsPerSec
 
-	var specs []FlowSpec
+	specs := make([]FlowSpec, 0, ic.FanIn*expectedArrivals(duration, meanGapPs))
+	var pool []int // sender-pool buffer, refilled for every event
 	id := firstID
 	for t := nextExp(rng, meanGapPs); t < float64(duration); t += nextExp(rng, meanGapPs) {
 		rack := rng.Intn(len(ic.Racks))
 		recvRack := ic.Racks[rack]
 		dst := recvRack[rng.Intn(len(recvRack))]
-		senders := ic.pickSenders(rng, rack, dst)
-		for _, src := range senders {
+		pool = ic.pickSenders(rng, pool[:0], rack, dst)
+		for _, src := range pool[:ic.FanIn] {
 			specs = append(specs, FlowSpec{
 				ID: id, Src: src, Dst: dst,
 				Size:  ic.FlowSize,
@@ -272,8 +273,9 @@ func (ic Incast) Generate(rng *rand.Rand, duration units.Time, firstID int) []Fl
 	return specs
 }
 
-func (ic Incast) pickSenders(rng *rand.Rand, recvRack, dst int) []int {
-	var pool []int
+// pickSenders fills pool with every candidate sender and shuffles it; the
+// first FanIn entries are the event's senders.
+func (ic Incast) pickSenders(rng *rand.Rand, pool []int, recvRack, dst int) []int {
 	if len(ic.Racks) > 1 {
 		for r, hs := range ic.Racks {
 			if r != recvRack {
@@ -291,7 +293,18 @@ func (ic Incast) pickSenders(rng *rand.Rand, recvRack, dst int) []int {
 		panic(fmt.Sprintf("workload: fan-in %d exceeds sender pool %d", ic.FanIn, len(pool)))
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	return pool[:ic.FanIn]
+	return pool
+}
+
+// expectedArrivals sizes a Poisson schedule's slice: the mean arrival count
+// over duration plus four standard deviations (√mean), so it almost never
+// has to grow.
+func expectedArrivals(duration units.Time, meanGapPs float64) int {
+	mean := float64(duration) / meanGapPs
+	if mean <= 0 {
+		return 0
+	}
+	return int(mean + 4*math.Sqrt(mean) + 1)
 }
 
 // nextExp draws an exponential gap with the given mean (in picoseconds).

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -239,6 +242,62 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("spec %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// specsDigest hashes every field of a schedule plus the generator's next
+// RNG draw, so it pins both the output and the length of the draw
+// sequence that produced it.
+func specsDigest(specs []FlowSpec, rng *rand.Rand) string {
+	h := sha256.New()
+	for _, sp := range specs {
+		fmt.Fprintf(h, "%d %d %d %d %d %d %s\n", sp.ID, sp.Src, sp.Dst, sp.Size, sp.Start, sp.Class, sp.Tag)
+	}
+	fmt.Fprintf(h, "next %d\n", rng.Int63())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorDigests pins each generator's schedule and RNG draw
+// sequence at two seeds: buffer reuse and presizing must not change which
+// flows are drawn, in what order, or how many draws it takes.
+func TestGeneratorDigests(t *testing.T) {
+	racks := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {8, 9, 10, 11, 12, 13, 14, 15}, {16, 17, 18, 19, 20, 21, 22, 23}}
+	var hosts []int
+	for _, r := range racks {
+		hosts = append(hosts, r...)
+	}
+	gens := map[string]func(*rand.Rand) []FlowSpec{
+		"background": func(rng *rand.Rand) []FlowSpec {
+			b := Background{Hosts: hosts, Dist: Cache(), Load: 0.25, HostRate: 100 * units.Gbps,
+				Classes: []packet.Class{1, 2, 3}}
+			return b.Generate(rng, 2*units.Millisecond, 0)
+		},
+		"incast": func(rng *rand.Rand) []FlowSpec {
+			ic := Incast{Racks: racks, FanIn: 12, FlowSize: 64 * 1024, Load: 0.15, HostRate: 100 * units.Gbps}
+			return ic.Generate(rng, 2*units.Millisecond, 1_000_000)
+		},
+		"incast-one-rack": func(rng *rand.Rand) []FlowSpec {
+			ic := Incast{Racks: racks[:1], FanIn: 5, FlowSize: 64 * 1024, Load: 0.15, HostRate: 100 * units.Gbps}
+			return ic.Generate(rng, 2*units.Millisecond, 0)
+		},
+	}
+	want := map[string]string{
+		"background/1":      "7d8a2e347ef183422b91f3699d8b78dd7c712ac0d3b49f58fb39c38e3be51e05",
+		"background/7":      "2d59ac1c21241a925bfd4e3d49537333347872840a54abd1e16e162f379c7ff9",
+		"incast/1":          "1832c60e869a3fea5e3e65f2d4ce592904b443fcf313918c271ad3a0144e5c67",
+		"incast/7":          "9e28d0b11fa68ac1fa12c58564e213b019bbd1c93895787f7a282fff42265e7b",
+		"incast-one-rack/1": "44b07985e99bc0792c4a4d86c2274f09d9d8eba503b32f8fc1686ecd64bb8049",
+		"incast-one-rack/7": "c8afc0121d6828655a4bcd0fa512ec628bb4572959c5555bf5c986364441df68",
+	}
+	for name, gen := range gens {
+		for _, seed := range []int64{1, 7} {
+			key := fmt.Sprintf("%s/%d", name, seed)
+			rng := rand.New(rand.NewSource(seed))
+			specs := gen(rng)
+			if got := specsDigest(specs, rng); got != want[key] {
+				t.Errorf("%s: %d specs, digest %s, want %s", key, len(specs), got, want[key])
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-serial race verify lint bench bench-sweep bench-smoke bench-json bench-diff serve-smoke profile
+.PHONY: build test test-serial race verify lint golden perfbench-check bench bench-sweep bench-smoke bench-json bench-diff serve-smoke profile
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,18 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+
+# The full golden corpus: every family's result digest (classic engine and
+# LPWorkers 4) and every capture scenario's trace digest must match
+# dshsim/testdata/golden. Without -short this includes the five heavy
+# families (about 4 min on 2 vCPU).
+golden:
+	$(GO) test -count=1 -timeout 30m -run TestGolden -v ./dshsim/
+
+# perfbench is its own module, so `go build ./...` never compiles it; this
+# catches a dshsim API change that would break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -81,10 +81,6 @@ type NetworkConfig struct {
 	bufferHook func(name string, sihReservation units.ByteSize, capacity units.BitRate) units.ByteSize
 	// Alpha is the DT parameter (default 1/16).
 	Alpha float64
-	// LinkDelay is the uniform propagation delay (default 2 µs).
-	LinkDelay units.Time
-	// BaseRTT is the fabric base RTT used by PowerTCP (default 16 µs).
-	BaseRTT units.Time
 	// DisablePortLevel is the DSH ablation knob: it removes the port-level
 	// flow control and insurance headroom, demonstrating they are required
 	// for losslessness (see the ablation experiments).
@@ -117,7 +113,6 @@ func (nc NetworkConfig) build(s *sim.Simulator, done func(*transport.Flow)) topo
 		BufferFor:           nc.bufferHook,
 		Alpha:               nc.Alpha,
 		DisablePortLevel:    nc.DisablePortLevel,
-		LinkDelay:           nc.LinkDelay,
 		LPWorkers:           nc.LPWorkers,
 		Seed:                nc.Seed,
 
@@ -136,12 +131,9 @@ func (nc NetworkConfig) build(s *sim.Simulator, done func(*transport.Flow)) topo
 	return cfg
 }
 
-func (nc NetworkConfig) baseRTT() units.Time {
-	if nc.BaseRTT > 0 {
-		return nc.BaseRTT
-	}
-	return 16 * units.Microsecond
-}
+// baseRTT is the fabric base RTT: PowerTCP's τ, DCQCN's window cap, and the
+// fluid engine's convergence window.
+const baseRTT = 16 * units.Microsecond
 
 // runState carries the deferred flow-done hook between New* and Run; it
 // lives in the network's UserData slot.
@@ -243,10 +235,6 @@ type RunConfig struct {
 	// concurrently for flows sourced in different LPs and must synchronize
 	// or partition any state it writes.
 	OnFlowDone func(f *Flow)
-	// LPWorkers, when positive, overrides the worker count of a partitioned
-	// network for this run (the partitioning itself is fixed at build time
-	// by NetworkConfig.LPWorkers). The worker count never affects results.
-	LPWorkers int
 	// Faults is the fault script injected into this run; it overrides
 	// NetworkConfig.Faults (experiments build scenarios against node IDs
 	// known only after the topology exists). "On" occurrences are bounded
@@ -278,10 +266,6 @@ type RunConfig struct {
 	// (DESIGN.md §13). Flow and hybrid fidelities reject fault scripts and
 	// deadlock detection — those are packet-level phenomena.
 	Fidelity string
-	// FlowQuantum overrides the flow-level engine's rate-recompute
-	// coalescing interval (default flowsim.DefaultQuantum). Larger quanta
-	// trade FCT accuracy for speed at extreme flow counts.
-	FlowQuantum units.Time
 }
 
 // Flow re-exports the transport flow for hooks and custom schedules.
@@ -367,9 +351,6 @@ func Run(net *Network, rc RunConfig) *Result {
 // rateCap[i] via a transport.RateLimited controller instead of the
 // network's transport — the hybrid mode's boundary-flow stitching.
 func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate) *Result {
-	if rc.LPWorkers > 0 && net.Par != nil {
-		net.Par.SetWorkers(rc.LPWorkers)
-	}
 	if rc.Trace != nil {
 		if net.Partitioned() {
 			panic("dshsim: trace capture requires the classic engine (build the network with LPWorkers == 0)")
@@ -442,7 +423,7 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 		net:     net,
 		specs:   rc.Specs,
 		tagIDs:  tagIDs,
-		factory: newFactory(net, st.nc.Transport, st.nc.baseRTT()),
+		factory: newFactory(net, st.nc.Transport),
 		rateCap: rateCap,
 		pools:   make([]transport.FlowPool, K),
 	}
@@ -572,7 +553,7 @@ func (fs *flowStarter) Run(_ any, n int64) {
 }
 
 // newFactory builds the per-flow controller factory for a transport kind.
-func newFactory(net *Network, kind TransportKind, baseRTT units.Time) transport.Factory {
+func newFactory(net *Network, kind TransportKind) transport.Factory {
 	switch kind {
 	case TransportNone, "":
 		lr := transport.NewLineRate()

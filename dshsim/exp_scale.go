@@ -135,7 +135,6 @@ func scalePointSetup(scheme Scheme, target int, seed int64, lpWorkers int) (*Net
 func ScalePointFlowInputs(scheme Scheme, target int, seed int64) (flowsim.Config, []flowsim.Spec, units.Time) {
 	net, rc := scalePointSetup(scheme, target, seed, 0)
 	g := buildFlowGraph(net, net.UserData.(*runState).nc)
-	g.cfg.Quantum = rc.FlowQuantum
 	return g.cfg, g.flowSpecs(rc.Specs), fidelityHorizon(rc)
 }
 

@@ -123,7 +123,7 @@ func buildFlowGraph(net *Network, nc NetworkConfig) *flowGraph {
 		}
 	}
 	g.cfg.MTU, g.cfg.Header = net.Cfg.MTU, net.Cfg.Header
-	g.cfg.ConvWindow = nc.baseRTT()
+	g.cfg.ConvWindow = baseRTT
 	if nc.Transport == TransportDCQCN || nc.Transport == TransportPowerTCP {
 		g.cfg.CCDrain = ccDrainFraction
 		g.cfg.ECNClamp = ecnOperatingPoint
@@ -205,7 +205,6 @@ func rejectPacketOnlyKnobs(st *runState, rc RunConfig) {
 func runFlowLevel(net *Network, st *runState, rc RunConfig) *Result {
 	rejectPacketOnlyKnobs(st, rc)
 	g := buildFlowGraph(net, st.nc)
-	g.cfg.Quantum = rc.FlowQuantum
 	fres := flowsim.Run(g.cfg, g.flowSpecs(rc.Specs), fidelityHorizon(rc))
 
 	res := &Result{FCT: metrics.NewFCTCollector(), Fidelity: FidelityFlow, DeadlockOnset: -1}
@@ -230,7 +229,6 @@ func runFlowLevel(net *Network, st *runState, rc RunConfig) *Result {
 func runHybrid(net *Network, st *runState, rc RunConfig) *Result {
 	rejectPacketOnlyKnobs(st, rc)
 	g := buildFlowGraph(net, st.nc)
-	g.cfg.Quantum = rc.FlowQuantum
 	fspecs := g.flowSpecs(rc.Specs)
 	fres := flowsim.Run(g.cfg, fspecs, fidelityHorizon(rc))
 

@@ -202,26 +202,3 @@ func TestLPFaultedFatTreeEquivalence(t *testing.T) {
 		t.Errorf("scenario did not inject (stats %+v); equivalence test is vacuous", serial.Faults)
 	}
 }
-
-// TestLPRunConfigOverride pins the RunConfig.LPWorkers runtime override: a
-// partitioned network re-run with a different worker count must not change
-// results, and a classic network must ignore the override entirely.
-func TestLPRunConfigOverride(t *testing.T) {
-	run := func(lpBuild, lpRun int) units.Time {
-		nc := NetworkConfig{Scheme: DSH, Transport: TransportNone,
-			Buffer: 16 * units.MB, Seed: 42, LPWorkers: lpBuild}
-		net := NewSingleSwitch(nc, 8, 100*units.Gbps)
-		specs := []FlowSpec{
-			{ID: 1, Src: 0, Dst: 7, Size: 256 * units.KB, Tag: "x"},
-			{ID: 2, Src: 1, Dst: 7, Size: 256 * units.KB, Tag: "x"},
-		}
-		res := Run(net, RunConfig{Specs: specs, Duration: 2 * units.Millisecond, LPWorkers: lpRun})
-		return res.FCT.Avg("x")
-	}
-	if a, b := run(1, 0), run(1, 4); a != b {
-		t.Errorf("partitioned run changed under worker override: %v vs %v", a, b)
-	}
-	if a, b := run(0, 0), run(0, 4); a != b {
-		t.Errorf("classic run affected by LPWorkers override: %v vs %v", a, b)
-	}
-}

@@ -108,9 +108,6 @@ func (d *DSH) Admit(port int, class packet.Class, size units.ByteSize) (bool, []
 		return true, d.acts
 	}
 	if d.poff[port] {
-		if d.cfg.RefreshPause {
-			d.acts = append(d.acts, Action{Port: port, PortLevel: true, Pause: true})
-		}
 		return d.admitInsurance(i, port, size), d.acts
 	}
 	if d.sharedUsed+size > d.sharedCap {
@@ -128,7 +125,7 @@ func (d *DSH) Admit(port int, class packet.Class, size units.ByteSize) (bool, []
 	d.shared[i] += size
 	d.sharedUsed += size
 	d.portShared[port] += size
-	if (!d.qoff[i] || d.cfg.RefreshPause) && d.shared[i] > d.XQOff(port) {
+	if !d.qoff[i] && d.shared[i] > d.XQOff(port) {
 		d.qoff[i] = true
 		d.acts = append(d.acts, Action{Port: port, Class: class, Pause: true})
 	}
@@ -188,12 +185,12 @@ func (d *DSH) Release(port int, class packet.Class, size units.ByteSize) []Actio
 }
 
 // maybeResumeQueue emits a queue-level RESUME when shared occupancy falls to
-// Xqon(t) = Xqoff(t) − δq.
+// Xqon(t) = Xqoff(t).
 func (d *DSH) maybeResumeQueue(i, port int, class packet.Class) {
 	if !d.qoff[i] {
 		return
 	}
-	xon := d.XQOff(port) - d.cfg.DeltaQueue
+	xon := d.XQOff(port)
 	if xon < 0 {
 		xon = 0
 	}
@@ -203,17 +200,14 @@ func (d *DSH) maybeResumeQueue(i, port int, class packet.Class) {
 	}
 }
 
-// maybeResumePort emits a port-level RESUME when the port's shared occupancy
-// falls to Xpon(t) = Xpoff(t) − δp (and, under the conservative default, its
-// insurance headroom has drained, so a future POFF again has η to absorb).
+// maybeResumePort emits a port-level RESUME when the port's insurance
+// headroom has drained, so a future POFF again has η to absorb, and its
+// shared occupancy has fallen to Xpon(t) = Xpoff(t).
 func (d *DSH) maybeResumePort(port int) {
-	if !d.poff[port] {
+	if !d.poff[port] || d.portIns[port] > 0 {
 		return
 	}
-	if d.cfg.RequireHeadroomDrained && d.portIns[port] > 0 {
-		return
-	}
-	xpon := d.XPOff() - d.cfg.DeltaPort
+	xpon := d.XPOff()
 	if xpon < 0 {
 		xpon = 0
 	}

@@ -74,45 +74,26 @@ type Config struct {
 	EtaPerPort []units.ByteSize
 	// Alpha is the DT control parameter α (the evaluation uses 1/16).
 	Alpha float64
-	// DeltaQueue is the queue-level Xon hysteresis δ (Xon = Xoff − δ). The
-	// evaluation sets the resume threshold equal to the pause threshold (0).
-	DeltaQueue units.ByteSize
-	// DeltaPort is the port-level hysteresis δp for DSH.
-	DeltaPort units.ByteSize
-	// RefreshPause re-emits a PAUSE for every arrival into an already-OFF
-	// queue (or POFF port). Required when the fabric runs 802.1Qbb pause
-	// timers: the upstream's pause expires on its own, so the downstream
-	// must keep refreshing while congested. Pure ON/OFF fabrics leave this
-	// off to avoid redundant control frames.
-	RefreshPause bool
 	// DisablePortLevel (ablation) removes DSH's port-level flow control and
 	// insurance headroom entirely: the insurance reservation is returned to
 	// the shared segment and arrivals that find the shared segment
 	// physically full are dropped. It demonstrates that the queue-level
 	// mechanism alone cannot guarantee losslessness. SIH ignores it.
 	DisablePortLevel bool
-	// RequireHeadroomDrained makes resume additionally wait until the
-	// queue's (SIH) or port's (DSH) headroom is empty, guaranteeing a full η
-	// of absorption capacity for the next pause. The paper's state machines
-	// compare only shared occupancy against Xon; draining first is the
-	// conservative reading that preserves losslessness when T(t) rises while
-	// headroom is still occupied. Defaults to true in DefaultConfig.
-	RequireHeadroomDrained bool
 }
 
 // DefaultConfig returns the evaluation's Tomahawk-like configuration: 32
 // ports, 8 classes with class 7 reserved for ACKs, 16 MB buffer, 3 KB private
-// per queue, α = 1/16, zero hysteresis, and η from Eq. 1.
+// per queue, α = 1/16, and η from Eq. 1.
 func DefaultConfig(rate units.BitRate, prop units.Time, mtu units.ByteSize) Config {
 	return Config{
-		Ports:                  32,
-		Classes:                8,
-		AckClass:               7,
-		TotalBuffer:            16 * units.MB,
-		PrivatePerQueue:        3 * units.KB,
-		Eta:                    RequiredHeadroom(rate, prop, mtu),
-		Alpha:                  1.0 / 16.0,
-		RequireHeadroomDrained: true,
+		Ports:           32,
+		Classes:         8,
+		AckClass:        7,
+		TotalBuffer:     16 * units.MB,
+		PrivatePerQueue: 3 * units.KB,
+		Eta:             RequiredHeadroom(rate, prop, mtu),
+		Alpha:           1.0 / 16.0,
 	}
 }
 

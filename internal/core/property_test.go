@@ -159,21 +159,6 @@ func TestRandomTraceSmallBuffer(t *testing.T) {
 	}
 }
 
-func TestRandomTraceWithHysteresis(t *testing.T) {
-	cfg := testConfig()
-	cfg.DeltaQueue = 2000
-	cfg.DeltaPort = 4000
-	runRandomTrace(t, mustSIH(t, cfg), 7, 4000)
-	runRandomTrace(t, mustDSH(t, cfg), 7, 4000)
-}
-
-func TestRandomTraceNoDrainRequirement(t *testing.T) {
-	cfg := testConfig()
-	cfg.RequireHeadroomDrained = false
-	runRandomTrace(t, mustSIH(t, cfg), 11, 4000)
-	runRandomTrace(t, mustDSH(t, cfg), 11, 4000)
-}
-
 // Property: quick-checked headroom equation monotonicity — faster links and
 // longer cables always need at least as much headroom.
 func TestRequiredHeadroomMonotone(t *testing.T) {

@@ -83,7 +83,7 @@ func (s *SIH) Admit(port int, class packet.Class, size units.ByteSize) (bool, []
 	case s.headroom[i]+size <= s.cfg.eta(port):
 		s.headroom[i] += size
 		s.perPort[port] += size
-		if !s.qoff[i] || s.cfg.RefreshPause {
+		if !s.qoff[i] {
 			s.qoff[i] = true
 			s.acts = append(s.acts, Action{Port: port, Class: class, Pause: true})
 		}
@@ -125,16 +125,13 @@ func (s *SIH) Release(port int, class packet.Class, size units.ByteSize) []Actio
 }
 
 // maybeResume emits a queue-level RESUME when the OFF queue's shared
-// occupancy has fallen to Xon = T(t) − δ (Fig. 3).
+// occupancy has fallen to Xon = Xoff = T(t) (Fig. 3) and its headroom has
+// drained, so the next pause again has a full η to absorb (DESIGN.md §4).
 func (s *SIH) maybeResume(i, port int, class packet.Class) {
-	if !s.qoff[i] {
+	if !s.qoff[i] || s.headroom[i] > 0 {
 		return
 	}
-	if s.cfg.RequireHeadroomDrained && s.headroom[i] > 0 {
-		return
-	}
-	xon := s.threshold() - s.cfg.DeltaQueue
-	if s.shared[i] <= xon {
+	if s.shared[i] <= s.threshold() {
 		s.qoff[i] = false
 		s.acts = append(s.acts, Action{Port: port, Class: class, Pause: false})
 	}

@@ -26,21 +26,25 @@ type Receiver interface {
 // Hooks bundles the dataplane callbacks behind one interface value, with
 // Config.HookID passed back on every call. A device with many ports (the
 // switch, the host NIC) implements Hooks once and shares itself across all
-// its ports, where the per-callback func fields would cost one closure
-// allocation per callback per port. When Hooks is nil the func fields are
-// used instead (tests, single-port rigs).
+// its ports.
 type Hooks interface {
-	// PortDeparture corresponds to Config.OnDeparture.
+	// PortDeparture fires when a packet's last bit leaves the port (the
+	// moment the MMU un-charges it). The cookie is the value passed to
+	// Enqueue.
 	PortDeparture(id int, pkt *packet.Packet, cookie int64)
-	// PortDequeue corresponds to Config.OnDequeue.
+	// PortDequeue fires when a non-PFC packet is picked for transmission,
+	// before the first bit leaves; used for INT stamping. qlen is the
+	// packet's class backlog after dequeue, tx the port's cumulative
+	// transmitted bytes.
 	PortDequeue(id int, pkt *packet.Packet, qlen, tx units.ByteSize)
-	// PortIdle corresponds to Config.OnIdle.
+	// PortIdle fires when the transmitter finds nothing eligible to send.
+	// Hosts use it to inject the next flow packet.
 	PortIdle(id int)
 }
 
 // Tracer observes packet departures for trace capture (see internal/wire).
 // TraceDeparture fires once per packet, on the simulator goroutine, at the
-// instant the last bit leaves the port — the same moment as OnDeparture —
+// instant the last bit leaves the port — the same moment as PortDeparture —
 // with the packet still owned by the port (implementations must not retain
 // it). A single Tracer is shared by every port of a run, disambiguated by
 // the port ID given to SetTracer.
@@ -60,33 +64,10 @@ type Config struct {
 	// StrictClass is served with strict priority over the DWRR classes
 	// (reserved for ACKs in the evaluation); −1 disables it.
 	StrictClass int
-	// OnDeparture fires when a packet's last bit leaves the port (the moment
-	// the MMU un-charges it). The cookie is the value passed to Enqueue.
-	OnDeparture func(pkt *packet.Packet, cookie int64)
-	// OnDequeue fires when a packet is picked for transmission, before the
-	// first bit leaves; used for INT stamping. qlen is the packet's class
-	// backlog after dequeue, tx the port's cumulative transmitted bytes.
-	OnDequeue func(pkt *packet.Packet, qlen, tx units.ByteSize)
-	// OnIdle fires when the transmitter finds nothing eligible to send.
-	// Hosts use it to inject the next flow packet.
-	OnIdle func()
-	// Hooks, when non-nil, replaces the three callback funcs above with
-	// interface calls that receive HookID back (see Hooks).
+	// Hooks receives the port's dataplane callbacks, each called with
+	// HookID (see Hooks). Required.
 	Hooks  Hooks
 	HookID int
-	// PauseTimeout, when positive, models the 802.1Qbb pause-timer
-	// semantics instead of pure ON/OFF: a received PAUSE expires after
-	// this duration unless refreshed by another PAUSE frame. The standard
-	// maximum is 65535 quanta of 512 bit-times (≈ 335 µs at 100 GbE).
-	// Zero keeps the paper's ON/OFF model (footnote 2: logically identical
-	// when the pauser refreshes before expiry).
-	PauseTimeout units.Time
-}
-
-// StandardPauseTimeout returns the 802.1Qbb maximum pause duration at a
-// given link rate: 65535 quanta × 512 bit-times.
-func StandardPauseTimeout(rate units.BitRate) units.Time {
-	return units.TransmissionTime(65535*512/8, rate)
 }
 
 type entry struct {
@@ -150,7 +131,6 @@ type classState struct {
 	paused     bool
 	pauseStart units.Time
 	pausedFor  units.Time
-	expiry     sim.Timer
 }
 
 // Port is one egress port. It is single-goroutine (event-loop) code: no
@@ -196,9 +176,6 @@ type Port struct {
 	portPausedFor  units.Time
 	pauseFrames    int64
 
-	// Port-level pause-timer expiry event (timer semantics mode).
-	portExpiry sim.Timer
-
 	// tx is the entry being serialized (valid while transmitting); txDrop
 	// marks it as falling off a down link, to be released at completion.
 	tx     entry
@@ -208,7 +185,6 @@ type Port struct {
 	// (see sim.Action).
 	txDoneAct  txDoneAction
 	deliverAct deliverAction
-	expiryAct  expiryAction
 	remoteAct  remoteDeliverAction
 
 	// tracer, when non-nil, receives every departure (trace capture);
@@ -255,20 +231,6 @@ func (a *remoteDeliverAction) Run(arg any, n int64) {
 	a.p.deliver(pkt, n)
 }
 
-// expiryAction fires when a received PAUSE's timer expires (n is the class,
-// or -1 for the port level).
-type expiryAction struct{ p *Port }
-
-func (a *expiryAction) Run(_ any, n int64) {
-	if n < 0 {
-		a.p.portExpiry = sim.Timer{}
-		a.p.SetPortPaused(false)
-	} else {
-		a.p.cls[n].expiry = sim.Timer{}
-		a.p.SetClassPaused(packet.Class(n), false)
-	}
-}
-
 // New builds a port. Connect must be called before any packet is sent.
 func New(cfg Config) *Port {
 	p := &Port{}
@@ -280,7 +242,7 @@ func New(cfg Config) *Port {
 // ports use it to slab- or field-allocate them instead of paying one heap
 // object per port.
 func NewInto(p *Port, cfg Config) {
-	if cfg.Sim == nil || cfg.Rate <= 0 || cfg.Classes <= 0 {
+	if cfg.Sim == nil || cfg.Rate <= 0 || cfg.Classes <= 0 || cfg.Hooks == nil {
 		panic(fmt.Sprintf("eport: invalid config %+v", cfg))
 	}
 	if cfg.Quantum <= 0 {
@@ -296,7 +258,6 @@ func NewInto(p *Port, cfg Config) {
 	}
 	p.txDoneAct = txDoneAction{p: p}
 	p.deliverAct = deliverAction{p: p}
-	p.expiryAct = expiryAction{p: p}
 	p.ch.Init(cfg.Sim, &p.deliverAct)
 }
 
@@ -389,7 +350,7 @@ func (p *Port) QueuedPackets() int {
 func (p *Port) InFlight() int { return p.ch.Len() }
 
 // Enqueue appends a data-path packet to its class queue and kicks the
-// transmitter. The cookie is returned through OnDeparture.
+// transmitter. The cookie is returned through Hooks.PortDeparture.
 func (p *Port) Enqueue(pkt *packet.Packet, cookie int64) {
 	cls := int(pkt.Class)
 	if cls >= p.cfg.Classes {
@@ -428,17 +389,9 @@ func (p *Port) TxBytes() units.ByteSize { return p.txBytes }
 func (p *Port) Transmitting() bool { return p.transmitting }
 
 // SetClassPaused applies a received queue-level PAUSE/RESUME to this port.
-// In pause-timer mode a PAUSE re-arms the expiry timer (refresh).
 func (p *Port) SetClassPaused(cls packet.Class, paused bool) {
 	now := p.cfg.Sim.Now()
 	c := &p.cls[cls]
-	if p.cfg.PauseTimeout > 0 {
-		c.expiry.Cancel()
-		c.expiry = sim.Timer{}
-		if paused {
-			c.expiry = p.cfg.Sim.ScheduleAction(p.cfg.PauseTimeout, &p.expiryAct, nil, int64(cls))
-		}
-	}
 	if c.paused == paused {
 		return
 	}
@@ -453,16 +406,8 @@ func (p *Port) SetClassPaused(cls packet.Class, paused bool) {
 }
 
 // SetPortPaused applies a received port-level PAUSE/RESUME to this port.
-// In pause-timer mode a PAUSE re-arms the expiry timer (refresh).
 func (p *Port) SetPortPaused(paused bool) {
 	now := p.cfg.Sim.Now()
-	if p.cfg.PauseTimeout > 0 {
-		p.portExpiry.Cancel()
-		p.portExpiry = sim.Timer{}
-		if paused {
-			p.portExpiry = p.cfg.Sim.ScheduleAction(p.cfg.PauseTimeout, &p.expiryAct, nil, -1)
-		}
-	}
 	if p.pausedPort == paused {
 		return
 	}
@@ -573,11 +518,7 @@ func (p *Port) trySend() {
 	}
 	e, ok := p.pick()
 	if !ok {
-		if p.cfg.Hooks != nil {
-			p.cfg.Hooks.PortIdle(p.cfg.HookID)
-		} else if p.cfg.OnIdle != nil {
-			p.cfg.OnIdle()
-		}
+		p.cfg.Hooks.PortIdle(p.cfg.HookID)
 		return
 	}
 	p.transmit(e)
@@ -587,11 +528,7 @@ func (p *Port) transmit(e entry) {
 	p.transmitting = true
 	pkt := e.pkt
 	if pkt.Type != packet.PFC {
-		if p.cfg.Hooks != nil {
-			p.cfg.Hooks.PortDequeue(p.cfg.HookID, pkt, p.cls[pkt.Class].q.bytes, p.txBytes)
-		} else if p.cfg.OnDequeue != nil {
-			p.cfg.OnDequeue(pkt, p.cls[pkt.Class].q.bytes, p.txBytes)
-		}
+		p.cfg.Hooks.PortDequeue(p.cfg.HookID, pkt, p.cls[pkt.Class].q.bytes, p.txBytes)
 	}
 	txTime := units.TransmissionTime(pkt.Size, p.cfg.Rate)
 	s := p.cfg.Sim
@@ -629,11 +566,7 @@ func (p *Port) txDone() {
 	if p.tracer != nil {
 		p.tracer.TraceDeparture(p.traceID, p.cfg.Sim.Now(), e.pkt)
 	}
-	if p.cfg.Hooks != nil {
-		p.cfg.Hooks.PortDeparture(p.cfg.HookID, e.pkt, e.cookie)
-	} else if p.cfg.OnDeparture != nil {
-		p.cfg.OnDeparture(e.pkt, e.cookie)
-	}
+	p.cfg.Hooks.PortDeparture(p.cfg.HookID, e.pkt, e.cookie)
 	if drop {
 		// The link was down when serialization started: the packet fell off
 		// the wire and has no receiver, so the port is its final owner.

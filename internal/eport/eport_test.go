@@ -8,10 +8,19 @@ import (
 	"dsh/units"
 )
 
+// collector is the test rig's far end of the wire (Receiver) and the
+// port's Hooks: it records deliveries with their arrival times, and every
+// callback the port makes.
 type collector struct {
 	s    *sim.Simulator
 	pkts []*packet.Packet
 	at   []units.Time
+
+	departed []*packet.Packet
+	cookies  []int64
+	qlens    []units.ByteSize
+	txs      []units.ByteSize
+	idles    int
 }
 
 func (c *collector) Receive(p *packet.Packet) {
@@ -19,7 +28,20 @@ func (c *collector) Receive(p *packet.Packet) {
 	c.at = append(c.at, c.s.Now())
 }
 
+func (c *collector) PortDeparture(_ int, pkt *packet.Packet, cookie int64) {
+	c.departed = append(c.departed, pkt)
+	c.cookies = append(c.cookies, cookie)
+}
+
+func (c *collector) PortDequeue(_ int, _ *packet.Packet, qlen, tx units.ByteSize) {
+	c.qlens = append(c.qlens, qlen)
+	c.txs = append(c.txs, tx)
+}
+
+func (c *collector) PortIdle(int) { c.idles++ }
+
 func newTestPort(s *sim.Simulator, mutate func(*Config)) (*Port, *collector) {
+	c := &collector{s: s}
 	cfg := Config{
 		Sim:         s,
 		Rate:        100 * units.Gbps,
@@ -27,12 +49,12 @@ func newTestPort(s *sim.Simulator, mutate func(*Config)) (*Port, *collector) {
 		Classes:     8,
 		Quantum:     1600,
 		StrictClass: 7,
+		Hooks:       c,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	p := New(cfg)
-	c := &collector{s: s}
 	p.Connect(c)
 	return p, c
 }
@@ -159,13 +181,7 @@ func TestDWRRFairness(t *testing.T) {
 	// Two busy classes with equal quantum must share the wire ~evenly in
 	// bytes, even with different packet sizes.
 	s := sim.New()
-	p, _ := newTestPort(s, nil)
-	var done [8]units.ByteSize
-	cfgHook := p.cfg.OnDeparture
-	_ = cfgHook
-	p.cfg.OnDeparture = func(pkt *packet.Packet, _ int64) {
-		done[pkt.Class] += pkt.Size
-	}
+	p, c := newTestPort(s, nil)
 	for i := 0; i < 200; i++ {
 		p.Enqueue(data(0, 1500), 0)
 	}
@@ -174,6 +190,10 @@ func TestDWRRFairness(t *testing.T) {
 	}
 	// Run until ~half the total has been transmitted, then compare.
 	s.RunUntil(25 * units.Microsecond) // ~312KB at 100G
+	var done [8]units.ByteSize
+	for _, pkt := range c.departed {
+		done[pkt.Class] += pkt.Size
+	}
 	if done[0] == 0 || done[1] == 0 {
 		t.Fatal("a class was starved")
 	}
@@ -249,52 +269,39 @@ func TestRedundantPauseIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestOnDepartureCookie(t *testing.T) {
+func TestPortDepartureCookie(t *testing.T) {
 	s := sim.New()
-	var gotCookie int64
-	p, _ := newTestPort(s, func(c *Config) {
-		c.OnDeparture = func(_ *packet.Packet, cookie int64) { gotCookie = cookie }
-	})
+	p, c := newTestPort(s, nil)
 	p.Enqueue(data(0, 100), 0xBEEF)
 	s.Run()
-	if gotCookie != 0xBEEF {
-		t.Errorf("cookie = %#x, want 0xBEEF", gotCookie)
+	if len(c.cookies) != 1 || c.cookies[0] != 0xBEEF {
+		t.Errorf("cookies = %#x, want [0xBEEF]", c.cookies)
 	}
 }
 
-func TestOnDequeueStats(t *testing.T) {
+func TestPortDequeueStats(t *testing.T) {
 	s := sim.New()
-	var qlens []units.ByteSize
-	var txs []units.ByteSize
-	p, _ := newTestPort(s, func(c *Config) {
-		c.OnDequeue = func(_ *packet.Packet, qlen, tx units.ByteSize) {
-			qlens = append(qlens, qlen)
-			txs = append(txs, tx)
-		}
-	})
+	p, c := newTestPort(s, nil)
 	p.SetPortPaused(true)
 	p.Enqueue(data(0, 1000), 0)
 	p.Enqueue(data(0, 1000), 0)
 	p.SetPortPaused(false)
 	s.Run()
-	if len(qlens) != 2 || qlens[0] != 1000 || qlens[1] != 0 {
-		t.Errorf("qlens = %v, want [1000 0]", qlens)
+	if len(c.qlens) != 2 || c.qlens[0] != 1000 || c.qlens[1] != 0 {
+		t.Errorf("qlens = %v, want [1000 0]", c.qlens)
 	}
-	if len(txs) != 2 || txs[0] != 0 || txs[1] != 1000 {
-		t.Errorf("txs = %v, want [0 1000]", txs)
+	if len(c.txs) != 2 || c.txs[0] != 0 || c.txs[1] != 1000 {
+		t.Errorf("txs = %v, want [0 1000]", c.txs)
 	}
 }
 
-func TestOnIdleFires(t *testing.T) {
+func TestPortIdleFires(t *testing.T) {
 	s := sim.New()
-	idles := 0
-	p, _ := newTestPort(s, func(c *Config) {
-		c.OnIdle = func() { idles++ }
-	})
+	p, c := newTestPort(s, nil)
 	p.Enqueue(data(0, 100), 0)
 	s.Run()
-	if idles == 0 {
-		t.Error("OnIdle never fired after queue drained")
+	if c.idles == 0 {
+		t.Error("PortIdle never fired after queue drained")
 	}
 	if p.Transmitting() {
 		t.Error("still transmitting after drain")
@@ -352,9 +359,18 @@ func TestEnqueueBadClassPanics(t *testing.T) {
 	p.Enqueue(data(8, 100), 0)
 }
 
+func TestNewWithoutHooksPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	New(Config{Sim: sim.New(), Rate: units.Gbps, Classes: 8})
+}
+
 func TestTransmitWithoutConnectPanics(t *testing.T) {
 	s := sim.New()
-	p := New(Config{Sim: s, Rate: units.Gbps, Classes: 8})
+	p := New(Config{Sim: s, Rate: units.Gbps, Classes: 8, Hooks: &collector{s: s}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -375,89 +391,6 @@ func TestQueueCompaction(t *testing.T) {
 	s.Run()
 	if len(c.pkts) != n {
 		t.Errorf("delivered %d, want %d", len(c.pkts), n)
-	}
-}
-
-func TestPauseTimerExpires(t *testing.T) {
-	s := sim.New()
-	p, c := newTestPort(s, func(cfg *Config) {
-		cfg.PauseTimeout = 10 * units.Microsecond
-	})
-	p.SetClassPaused(0, true)
-	p.Enqueue(data(0, 1000), 0)
-	s.RunUntil(5 * units.Microsecond)
-	if len(c.pkts) != 0 {
-		t.Fatal("packet sent while pause timer active")
-	}
-	s.Run()
-	if len(c.pkts) != 1 {
-		t.Fatal("pause never expired")
-	}
-	if got := p.ClassPausedTime(0); got != 10*units.Microsecond {
-		t.Errorf("paused for %v, want exactly the timeout", got)
-	}
-}
-
-func TestPauseTimerRefreshExtends(t *testing.T) {
-	s := sim.New()
-	p, c := newTestPort(s, func(cfg *Config) {
-		cfg.PauseTimeout = 10 * units.Microsecond
-	})
-	p.SetClassPaused(0, true)
-	p.Enqueue(data(0, 1000), 0)
-	// Refresh at t=8us: expiry moves to 18us.
-	s.At(8*units.Microsecond, func() { p.SetClassPaused(0, true) })
-	s.RunUntil(15 * units.Microsecond)
-	if len(c.pkts) != 0 {
-		t.Fatal("refresh did not extend the pause")
-	}
-	s.Run()
-	if len(c.pkts) != 1 {
-		t.Fatal("packet never sent after refreshed pause expired")
-	}
-}
-
-func TestPauseTimerExplicitResumeCancelsExpiry(t *testing.T) {
-	s := sim.New()
-	p, _ := newTestPort(s, func(cfg *Config) {
-		cfg.PauseTimeout = 10 * units.Microsecond
-	})
-	p.SetClassPaused(0, true)
-	s.At(2*units.Microsecond, func() { p.SetClassPaused(0, false) })
-	s.Run()
-	if got := p.ClassPausedTime(0); got != 2*units.Microsecond {
-		t.Errorf("paused %v, want 2us (explicit resume)", got)
-	}
-	if s.Pending() != 0 {
-		t.Error("expiry event leaked after explicit resume")
-	}
-}
-
-func TestPortPauseTimerExpires(t *testing.T) {
-	s := sim.New()
-	p, c := newTestPort(s, func(cfg *Config) {
-		cfg.PauseTimeout = 20 * units.Microsecond
-	})
-	p.SetPortPaused(true)
-	p.Enqueue(data(3, 500), 0)
-	s.Run()
-	if len(c.pkts) != 1 {
-		t.Fatal("port pause never expired")
-	}
-	if got := p.PortPausedTime(); got != 20*units.Microsecond {
-		t.Errorf("port paused %v, want 20us", got)
-	}
-}
-
-func TestStandardPauseTimeout(t *testing.T) {
-	// 65535 quanta × 512 bits = 33553920 bits; at 100G that is ~335.5us.
-	got := StandardPauseTimeout(100 * units.Gbps)
-	want := units.TransmissionTime(65535*512/8, 100*units.Gbps)
-	if got != want {
-		t.Errorf("StandardPauseTimeout = %v, want %v", got, want)
-	}
-	if got < 335*units.Microsecond || got > 336*units.Microsecond {
-		t.Errorf("StandardPauseTimeout(100G) = %v, want ~335.5us", got)
 	}
 }
 

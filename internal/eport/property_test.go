@@ -16,11 +16,7 @@ func TestRandomOpsConservation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New()
-		p, c := newTestPort(s, func(cfg *Config) {
-			if seed%2 == 1 {
-				cfg.PauseTimeout = 50 * units.Microsecond
-			}
-		})
+		p, c := newTestPort(s, nil)
 		type sent struct {
 			cls packet.Class
 			seq units.ByteSize
@@ -108,11 +104,7 @@ func TestRandomOpsConservation(t *testing.T) {
 // whenever it is unpaused for long enough.
 func TestDWRRNeverStarvesUnderChurn(t *testing.T) {
 	s := sim.New()
-	p, _ := newTestPort(s, nil)
-	delivered := map[packet.Class]int{}
-	p.cfg.OnDeparture = func(pkt *packet.Packet, _ int64) {
-		delivered[pkt.Class]++
-	}
+	p, c := newTestPort(s, nil)
 	// Backlog every DWRR class heavily.
 	for cls := 0; cls < 7; cls++ {
 		for i := 0; i < 200; i++ {
@@ -133,6 +125,10 @@ func TestDWRRNeverStarvesUnderChurn(t *testing.T) {
 		}
 	})
 	s.Run()
+	delivered := map[packet.Class]int{}
+	for _, pkt := range c.departed {
+		delivered[pkt.Class]++
+	}
 	for cls := 0; cls < 7; cls++ {
 		if delivered[packet.Class(cls)] != 200 {
 			t.Errorf("class %d delivered %d/200", cls, delivered[packet.Class(cls)])

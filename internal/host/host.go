@@ -39,9 +39,6 @@ type Config struct {
 	// CNPInterval is the DCQCN NP minimum CNP spacing per flow (50 µs);
 	// zero disables CNP generation.
 	CNPInterval units.Time
-	// PauseTimeout enables 802.1Qbb pause-timer semantics on the uplink
-	// (zero = ON/OFF model).
-	PauseTimeout units.Time
 	// OnFlowDone fires when the final ACK of a locally-originated flow
 	// arrives.
 	OnFlowDone func(f *transport.Flow)
@@ -188,13 +185,12 @@ func New(cfg Config) *Host {
 	h.recvSlots = h.recvBuf[:0]
 	h.recvFree = h.recvFreeBuf[:0]
 	eport.NewInto(&h.port, eport.Config{
-		Sim:          cfg.Sim,
-		Rate:         cfg.Rate,
-		Prop:         cfg.Prop,
-		Classes:      cfg.Classes,
-		StrictClass:  int(cfg.AckClass),
-		Hooks:        h,
-		PauseTimeout: cfg.PauseTimeout,
+		Sim:         cfg.Sim,
+		Rate:        cfg.Rate,
+		Prop:        cfg.Prop,
+		Classes:     cfg.Classes,
+		StrictClass: int(cfg.AckClass),
+		Hooks:       h,
 	})
 	return h
 }

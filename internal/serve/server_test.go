@@ -229,7 +229,7 @@ func TestDedupeInFlight(t *testing.T) {
 func TestQueueFullRejects(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		QueueCap: 1,
 		RunFunc: func(sp Spec, _ string, _ func(dshsim.SweepProgress)) ([]byte, error) {
 			started <- struct{}{}
@@ -237,7 +237,14 @@ func TestQueueFullRejects(t *testing.T) {
 			return stubResult(sp), nil
 		},
 	})
-	defer close(release)
+	// Let the blocked job finish and wait for the worker before the data
+	// dir is removed; a result written during that removal fails cleanup.
+	defer func() {
+		close(release)
+		if _, err := s.Drain(); err != nil {
+			t.Error(err)
+		}
+	}()
 
 	postJob(t, ts, `{"family":"fig11","seed":1}`)
 	<-started // seed 1 occupies the worker; the queue is empty again
@@ -553,7 +560,6 @@ func TestCacheKeyIdenticalAcrossLPWorkers(t *testing.T) {
 	for _, body := range []string{
 		`{"family":"fig11","seed":7,"lpWorkers":4}`,
 		`{"family":"fig11","seed":7,"lpWorkers":2}`,
-		`{"family":"fig11","seed":7}`,
 	} {
 		code, st := postJob(t, ts, body)
 		if st.Key != first.Key {
@@ -565,5 +571,19 @@ func TestCacheKeyIdenticalAcrossLPWorkers(t *testing.T) {
 	}
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("%d executions for one content key, want 1", n)
+	}
+
+	// The classic engine may order same-instant events differently, so a
+	// partitioned result must never be served for an lpWorkers-0 spec.
+	code, classic := postJob(t, ts, `{"family":"fig11","seed":7}`)
+	if classic.Key == first.Key {
+		t.Fatalf("lpWorkers 0 shares key %s with the partitioned engine", first.Key)
+	}
+	if code != http.StatusAccepted || classic.Cached {
+		t.Fatalf("classic submit: code %d cached %v, want 202 uncached", code, classic.Cached)
+	}
+	waitStatus(t, ts, classic.Key, string(jobDone))
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("%d executions, want 2 (one per engine)", n)
 	}
 }

@@ -39,10 +39,12 @@ const KeySchema = "dshserve-key/v1"
 // Spec describes one experiment request. Semantic fields (Family, Full,
 // Seed, Scheme, Faults) select *what* is computed and are part of the
 // content key; execution knobs (Workers, LPWorkers) only select *how* it
-// is computed — every engine configuration is bit-identical by the
-// repo's equivalence tests — so they are deliberately excluded from the
-// key and a client asking for the same experiment with a different worker
-// count still hits the cache.
+// is computed, so a client asking for the same experiment with a different
+// worker count still hits the cache. The one exception is which engine
+// runs: the classic engine (LPWorkers 0) and the partitioned engine
+// (LPWorkers ≥ 1) may order same-instant events differently and so give
+// different rows, while every LPWorkers ≥ 1 is bit-identical to every
+// other. The key therefore carries one bit, partitioned = LPWorkers > 0.
 type Spec struct {
 	// Family is the experiment family (dshsim.Families: fig4 … faults).
 	Family string `json:"family"`
@@ -64,8 +66,9 @@ type Spec struct {
 	Faults *dshsim.FaultScenario `json:"faults,omitempty"`
 
 	// Workers bounds sweep-point concurrency inside the job (0 = all
-	// cores); LPWorkers selects the intra-run partitioned engine. Neither
-	// affects results (see dshsim ExpOptions) nor the content key.
+	// cores) and never affects results. LPWorkers > 0 selects the
+	// intra-run partitioned engine; only that choice, not the count,
+	// affects results and the content key (see dshsim ExpOptions).
 	Workers   int `json:"workers,omitempty"`
 	LPWorkers int `json:"lpWorkers,omitempty"`
 }
@@ -134,21 +137,24 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// keySpec is the hash input: semantic fields only, in a fixed struct
-// order, plus the key-schema tag and code version. encoding/json emits
+// keySpec is the hash input: semantic fields plus the engine bit, in a
+// fixed struct order, plus the key-schema tag and code version. Partitioned
+// is omitempty, so a classic-engine spec hashes only its semantic fields.
+// encoding/json emits
 // struct fields in declaration order and omits the zero-valued optional
 // ones, so the encoding is canonical by construction — client JSON never
 // reaches the hash, only the decoded and normalized struct does, which is
 // what makes key order and default-field omission irrelevant.
 type keySpec struct {
-	Schema   string                `json:"schema"`
-	Code     string                `json:"code"`
-	Family   string                `json:"family"`
-	Full     bool                  `json:"full,omitempty"`
-	Seed     int64                 `json:"seed"`
-	Scheme   string                `json:"scheme,omitempty"`
-	Fidelity string                `json:"fidelity,omitempty"`
-	Faults   *dshsim.FaultScenario `json:"faults,omitempty"`
+	Schema      string                `json:"schema"`
+	Code        string                `json:"code"`
+	Family      string                `json:"family"`
+	Full        bool                  `json:"full,omitempty"`
+	Seed        int64                 `json:"seed"`
+	Scheme      string                `json:"scheme,omitempty"`
+	Fidelity    string                `json:"fidelity,omitempty"`
+	Faults      *dshsim.FaultScenario `json:"faults,omitempty"`
+	Partitioned bool                  `json:"partitioned,omitempty"`
 }
 
 // Key returns the content address of the spec's result under the given
@@ -156,14 +162,15 @@ type keySpec struct {
 // must already be normalized.
 func (sp Spec) Key(codeVersion string) string {
 	b, err := json.Marshal(keySpec{
-		Schema:   KeySchema,
-		Code:     codeVersion,
-		Family:   sp.Family,
-		Full:     sp.Full,
-		Seed:     sp.Seed,
-		Scheme:   sp.Scheme,
-		Fidelity: sp.Fidelity,
-		Faults:   sp.Faults,
+		Schema:      KeySchema,
+		Code:        codeVersion,
+		Family:      sp.Family,
+		Full:        sp.Full,
+		Seed:        sp.Seed,
+		Scheme:      sp.Scheme,
+		Fidelity:    sp.Fidelity,
+		Faults:      sp.Faults,
+		Partitioned: sp.LPWorkers > 0,
 	})
 	if err != nil {
 		// keySpec is a closed struct of marshalable fields; this is
@@ -174,17 +181,19 @@ func (sp Spec) Key(codeVersion string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CanonicalJSON returns the normalized semantic spec (no execution knobs)
-// as canonical JSON — the form echoed inside result envelopes.
+// CanonicalJSON returns the normalized semantic spec and the engine bit (no
+// worker counts) as canonical JSON — the form echoed inside result
+// envelopes.
 func (sp Spec) CanonicalJSON() json.RawMessage {
 	b, err := json.Marshal(struct {
-		Family   string                `json:"family"`
-		Full     bool                  `json:"full,omitempty"`
-		Seed     int64                 `json:"seed"`
-		Scheme   string                `json:"scheme,omitempty"`
-		Fidelity string                `json:"fidelity,omitempty"`
-		Faults   *dshsim.FaultScenario `json:"faults,omitempty"`
-	}{sp.Family, sp.Full, sp.Seed, sp.Scheme, sp.Fidelity, sp.Faults})
+		Family      string                `json:"family"`
+		Full        bool                  `json:"full,omitempty"`
+		Seed        int64                 `json:"seed"`
+		Scheme      string                `json:"scheme,omitempty"`
+		Fidelity    string                `json:"fidelity,omitempty"`
+		Faults      *dshsim.FaultScenario `json:"faults,omitempty"`
+		Partitioned bool                  `json:"partitioned,omitempty"`
+	}{sp.Family, sp.Full, sp.Seed, sp.Scheme, sp.Fidelity, sp.Faults, sp.LPWorkers > 0})
 	if err != nil {
 		panic(fmt.Sprintf("serve: canonical spec encoding failed: %v", err))
 	}

@@ -17,7 +17,8 @@ const testVersion = "test-version"
 // TestKeyIgnoresEncodingNoise: two client encodings of the same experiment
 // — different JSON key order, defaults spelled out vs omitted, execution
 // knobs present or absent — must land on the same content key, or the
-// cache never hits.
+// cache never hits. (lpWorkers > 0 selects another engine and so another
+// key; TestKeyExcludesExecutionKnobs covers it.)
 func TestKeyIgnoresEncodingNoise(t *testing.T) {
 	variants := []string{
 		`{"family":"fig11","seed":1}`,
@@ -25,9 +26,9 @@ func TestKeyIgnoresEncodingNoise(t *testing.T) {
 		`{"family":"fig11"}`,                           // seed omitted: defaults to 1
 		`{"family":"fig11","full":false}`,              // default spelled out
 		`{"family":"fig11","seed":1,"workers":8}`,      // execution knob
-		`{"workers":3,"lpWorkers":4,"family":"fig11"}`, // execution knobs, reordered
+		`{"workers":3,"lpWorkers":0,"family":"fig11"}`, // execution knobs, reordered
 		`{"family":"FIG11","seed":1}`,                  // family case-folds
-		`{"family":"  fig11 ","seed":1,"lpWorkers":2}`, // whitespace
+		`{"family":"  fig11 ","seed":1,"lpWorkers":0}`, // whitespace
 	}
 	var want string
 	for i, v := range variants {
@@ -48,11 +49,14 @@ func TestKeyIgnoresEncodingNoise(t *testing.T) {
 
 // TestKeyPropertyRandomOrder: assemble the same spec from randomly ordered
 // field fragments, with defaults randomly spelled out and execution knobs
-// randomly attached; every permutation must hash identically.
+// randomly attached; every permutation must hash identically to the spec
+// on the same engine (classic for lpWorkers 0, partitioned otherwise).
 func TestKeyPropertyRandomOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	want := Spec{Family: "fig12", Seed: 42, Scheme: "DSH"}.Normalized().Key(testVersion)
+	classic := Spec{Family: "fig12", Seed: 42, Scheme: "DSH"}.Normalized().Key(testVersion)
+	partitioned := Spec{Family: "fig12", Seed: 42, Scheme: "DSH", LPWorkers: 1}.Normalized().Key(testVersion)
 	for trial := 0; trial < 200; trial++ {
+		want := classic
 		fields := []string{
 			`"family":"fig12"`,
 			`"seed":42`,
@@ -65,7 +69,11 @@ func TestKeyPropertyRandomOrder(t *testing.T) {
 			fields = append(fields, fmt.Sprintf(`"workers":%d`, rng.Intn(16)))
 		}
 		if rng.Intn(2) == 0 {
-			fields = append(fields, fmt.Sprintf(`"lpWorkers":%d`, rng.Intn(8)))
+			lp := rng.Intn(8)
+			fields = append(fields, fmt.Sprintf(`"lpWorkers":%d`, lp))
+			if lp > 0 {
+				want = partitioned
+			}
 		}
 		rng.Shuffle(len(fields), func(i, j int) { fields[i], fields[j] = fields[j], fields[i] })
 		doc := "{" + strings.Join(fields, ",") + "}"
@@ -135,20 +143,27 @@ func TestKeySemanticFieldsIncluded(t *testing.T) {
 	}
 }
 
-// TestKeyExcludesExecutionKnobs pins the exclusion list: Workers and
-// LPWorkers select an engine configuration, every one of which is
-// bit-identical by the repo's equivalence tests, so they must not split
-// the cache.
+// TestKeyExcludesExecutionKnobs pins the exclusion list: Workers and the
+// LPWorkers count select an engine configuration that is bit-identical to
+// its siblings by the repo's equivalence tests, so they must not split the
+// cache. Only the classic-vs-partitioned choice does.
 func TestKeyExcludesExecutionKnobs(t *testing.T) {
-	base := Spec{Family: "fig11", Seed: 9}.Normalized().Key(testVersion)
-	for _, sp := range []Spec{
-		{Family: "fig11", Seed: 9, Workers: 1},
-		{Family: "fig11", Seed: 9, Workers: 64},
-		{Family: "fig11", Seed: 9, LPWorkers: 4},
-		{Family: "fig11", Seed: 9, Workers: 2, LPWorkers: 8},
+	classic := Spec{Family: "fig11", Seed: 9}.Normalized().Key(testVersion)
+	partitioned := Spec{Family: "fig11", Seed: 9, LPWorkers: 1}.Normalized().Key(testVersion)
+	if classic == partitioned {
+		t.Fatal("classic and partitioned engines share a key")
+	}
+	for _, tt := range []struct {
+		sp   Spec
+		want string
+	}{
+		{Spec{Family: "fig11", Seed: 9, Workers: 1}, classic},
+		{Spec{Family: "fig11", Seed: 9, Workers: 64}, classic},
+		{Spec{Family: "fig11", Seed: 9, LPWorkers: 4}, partitioned},
+		{Spec{Family: "fig11", Seed: 9, Workers: 2, LPWorkers: 8}, partitioned},
 	} {
-		if got := sp.Normalized().Key(testVersion); got != base {
-			t.Errorf("%+v: key %s differs from base %s (execution knob leaked into the hash)", sp, got, base)
+		if got := tt.sp.Normalized().Key(testVersion); got != tt.want {
+			t.Errorf("%+v: key %s, want %s (execution knob leaked into the hash)", tt.sp, got, tt.want)
 		}
 	}
 }

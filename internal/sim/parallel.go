@@ -284,12 +284,6 @@ func (p *Parallel) AddLPWeight(lp int, w uint64) {
 	p.weights[lp] += w
 }
 
-// SetWorkers changes the worker count for subsequent RunUntil calls.
-func (p *Parallel) SetWorkers(n int) { p.workers = n }
-
-// Workers returns the configured worker count.
-func (p *Parallel) Workers() int { return p.workers }
-
 // LPCount returns the number of registered LPs.
 func (p *Parallel) LPCount() int { return len(p.lps) }
 

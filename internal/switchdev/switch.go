@@ -45,9 +45,6 @@ type Config struct {
 	ECN *ECNConfig
 	// INT enables PowerTCP telemetry stamping at dequeue.
 	INT bool
-	// PauseTimeout enables 802.1Qbb pause-timer semantics on the egress
-	// ports (zero = ON/OFF model; see eport.Config.PauseTimeout).
-	PauseTimeout units.Time
 	// Seed seeds the switch-local RNG (ECN coin flips).
 	Seed int64
 	// Pool recycles packet objects; topologies share one pool across all
@@ -71,17 +68,11 @@ type Switch struct {
 	rxBytes []units.ByteSize
 	marks   int64
 
-	// refreshing tracks armed pause-refresh loops (pause-timer mode) as one
-	// bitmask per ingress port: bit c = class c's loop armed, bit 63 = the
-	// port-level loop.
-	refreshing []uint64
-
 	pool *packet.Pool
 
-	// pfcAct and refreshAct are the pre-bound callbacks applying received
-	// PFC frames and regenerating PAUSE frames (allocation-free scheduling).
-	pfcAct     swPFCAction
-	refreshAct refreshAction
+	// pfcAct is the pre-bound callback applying received PFC frames
+	// (allocation-free scheduling).
+	pfcAct swPFCAction
 
 	// pfcChs buffers received PFC frames through their processing delay,
 	// one channel per ingress port: the delay is constant per port rate and
@@ -105,26 +96,6 @@ func (a *swPFCAction) Run(_ any, n int64) {
 	}
 }
 
-// Pause-refresh loop keys pack into an int64 for the refresh action's n
-// argument (portLevel in bit 0, class in the next cookieClassBits, port
-// above) and into a per-port bitmask bit for the armed set.
-func refreshKey(port int, cls packet.Class, portLevel bool) int64 {
-	n := int64(port)<<(cookieClassBits+1) | int64(cls)<<1
-	if portLevel {
-		n |= 1
-	}
-	return n
-}
-
-const refreshPortBit = 63
-
-func refreshBit(cls packet.Class, portLevel bool) uint64 {
-	if portLevel {
-		return 1 << refreshPortBit
-	}
-	return 1 << cls
-}
-
 // New builds a switch. Ports are created immediately; wire them with
 // Port(i).Connect(...) and deliver into the switch with Input(i).
 func New(cfg Config, rates []units.BitRate, props []units.Time) *Switch {
@@ -145,18 +116,16 @@ func New(cfg Config, rates []units.BitRate, props []units.Time) *Switch {
 	}
 	ports := make([]eport.Port, cfg.Ports)
 	sw := &Switch{
-		cfg:        cfg,
-		eports:     make([]*eport.Port, cfg.Ports),
-		inputs:     make([]input, cfg.Ports),
-		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
-		charged:    make([]units.ByteSize, cfg.Ports*cfg.Ports),
-		rxBytes:    make([]units.ByteSize, cfg.Ports),
-		refreshing: make([]uint64, cfg.Ports),
-		pfcChs:     make([]sim.Channel, cfg.Ports),
-		pool:       cfg.Pool,
+		cfg:     cfg,
+		eports:  make([]*eport.Port, cfg.Ports),
+		inputs:  make([]input, cfg.Ports),
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		charged: make([]units.ByteSize, cfg.Ports*cfg.Ports),
+		rxBytes: make([]units.ByteSize, cfg.Ports),
+		pfcChs:  make([]sim.Channel, cfg.Ports),
+		pool:    cfg.Pool,
 	}
 	sw.pfcAct = swPFCAction{sw: sw}
-	sw.refreshAct = refreshAction{sw: sw}
 	for i := range sw.pfcChs {
 		sw.pfcChs[i].Init(cfg.Sim, &sw.pfcAct)
 	}
@@ -164,15 +133,14 @@ func New(cfg Config, rates []units.BitRate, props []units.Time) *Switch {
 		sw.inputs[i] = input{sw: sw, port: i}
 		sw.eports[i] = &ports[i]
 		eport.NewInto(&ports[i], eport.Config{
-			Sim:          cfg.Sim,
-			Rate:         rates[i],
-			Prop:         props[i],
-			Classes:      cfg.Classes,
-			Quantum:      cfg.Quantum,
-			StrictClass:  cfg.AckClass,
-			PauseTimeout: cfg.PauseTimeout,
-			Hooks:        sw,
-			HookID:       i,
+			Sim:         cfg.Sim,
+			Rate:        rates[i],
+			Prop:        props[i],
+			Classes:     cfg.Classes,
+			Quantum:     cfg.Quantum,
+			StrictClass: cfg.AckClass,
+			Hooks:       sw,
+			HookID:      i,
 		})
 	}
 	return sw
@@ -304,10 +272,7 @@ func (sw *Switch) PortDequeue(out int, pkt *packet.Packet, qlen, tx units.ByteSi
 }
 
 // emit converts MMU actions into PFC frames sent out of the ingress port's
-// egress side (back to the upstream device). In pause-timer mode every
-// pause also arms a refresh loop that re-sends the PAUSE before the
-// upstream's timer expires, for as long as the MMU stays congested —
-// mirroring how real MACs regenerate pause frames.
+// egress side (back to the upstream device).
 func (sw *Switch) emit(acts []core.Action) {
 	for _, a := range acts {
 		var frame *packet.Packet
@@ -317,51 +282,7 @@ func (sw *Switch) emit(acts []core.Action) {
 			frame = sw.pool.PFC(a.Class, a.Pause)
 		}
 		sw.eports[a.Port].EnqueueControl(frame)
-		if sw.cfg.PauseTimeout > 0 && a.Pause {
-			sw.armRefresh(a)
-		}
 	}
-}
-
-// armRefresh starts (once) the periodic PAUSE regeneration for a paused
-// ingress queue or port.
-func (sw *Switch) armRefresh(a core.Action) {
-	bit := refreshBit(a.Class, a.PortLevel)
-	if sw.refreshing[a.Port]&bit != 0 {
-		return
-	}
-	sw.refreshing[a.Port] |= bit
-	sw.cfg.Sim.ScheduleAction(sw.cfg.PauseTimeout/2, &sw.refreshAct, nil, refreshKey(a.Port, a.Class, a.PortLevel))
-}
-
-// refreshAction is one tick of a pause-refresh loop; the loop's key travels
-// in n and the armed state lives in the per-port refreshing bitmask, so the
-// whole loop schedules without allocating.
-type refreshAction struct{ sw *Switch }
-
-func (a *refreshAction) Run(_ any, n int64) {
-	sw := a.sw
-	port := int(n >> (cookieClassBits + 1))
-	cls := packet.Class((n >> 1) & cookieClassMask)
-	portLevel := n&1 != 0
-	var paused bool
-	if portLevel {
-		paused = sw.cfg.MMU.PortPaused(port)
-	} else {
-		paused = sw.cfg.MMU.QueuePaused(port, cls)
-	}
-	if !paused {
-		sw.refreshing[port] &^= refreshBit(cls, portLevel)
-		return
-	}
-	var frame *packet.Packet
-	if portLevel {
-		frame = sw.pool.PortPFC(true)
-	} else {
-		frame = sw.pool.PFC(cls, true)
-	}
-	sw.eports[port].EnqueueControl(frame)
-	sw.cfg.Sim.ScheduleAction(sw.cfg.PauseTimeout/2, a, nil, n)
 }
 
 // maybeMark applies RED marking against the egress class backlog.

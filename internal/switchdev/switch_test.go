@@ -37,7 +37,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	mmu, err := core.NewDSH(core.Config{
 		Ports: 3, Classes: 8, AckClass: 7,
 		TotalBuffer: 4 * units.MB, PrivatePerQueue: 3 * units.KB,
-		Eta: 56840, Alpha: 1.0 / 16.0, RequireHeadroomDrained: true,
+		Eta: 56840, Alpha: 1.0 / 16.0,
 	})
 	if err != nil {
 		t.Fatal(err)

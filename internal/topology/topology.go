@@ -29,10 +29,13 @@ const (
 	DSH Scheme = "DSH"
 )
 
+// LinkDelay is the one-way propagation delay of every link (§V-A).
+const LinkDelay = 2 * units.Microsecond
+
 // Config carries the build parameters shared by all topologies. Zero values
 // take the evaluation defaults (§V-A): Tomahawk-like switches with 16 MB of
 // lossless buffer, 8 classes with class 7 reserved for ACK/control, DWRR
-// quantum 1600 B, α = 1/16, MTU 1500 B, 2 µs link delay.
+// quantum 1600 B, α = 1/16, MTU 1500 B. Every link has LinkDelay.
 type Config struct {
 	Sim    *sim.Simulator
 	Scheme Scheme
@@ -63,16 +66,8 @@ type Config struct {
 	Quantum             units.ByteSize
 	MTU                 units.ByteSize
 	Header              units.ByteSize
-	LinkDelay           units.Time
-	DeltaQueue          units.ByteSize
-	DeltaPort           units.ByteSize
 	// DisablePortLevel is the DSH ablation knob (see core.Config).
 	DisablePortLevel bool
-	// PauseTimeout enables 802.1Qbb pause-timer semantics network-wide
-	// (zero = the paper's ON/OFF model, footnote 2). Note: with timers the
-	// MMU does not refresh PAUSE frames on its own; a congested queue
-	// re-pauses on the next arrival after expiry.
-	PauseTimeout units.Time
 
 	// ECN enables RED marking on switches (DCQCN runs).
 	ECN *switchdev.ECNConfig
@@ -131,9 +126,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Header == 0 {
 		c.Header = 48
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 2 * units.Microsecond
 	}
 }
 
@@ -356,9 +348,9 @@ func (n *Network) connect(aNode, aPort, bNode, bPort int) {
 	if n.Par != nil {
 		la, lb := n.LPOfNode(aNode), n.LPOfNode(bNode)
 		if la != lb {
-			ra := n.Par.NewRemote(n.lpSims[la], lb, n.Cfg.LinkDelay)
+			ra := n.Par.NewRemote(n.lpSims[la], lb, LinkDelay)
 			n.portOf(aNode, aPort).ConnectRemote(ra, n.lpPools[lb])
-			rb := n.Par.NewRemote(n.lpSims[lb], la, n.Cfg.LinkDelay)
+			rb := n.Par.NewRemote(n.lpSims[lb], la, LinkDelay)
 			n.portOf(bNode, bPort).ConnectRemote(rb, n.lpPools[la])
 		}
 	}
@@ -476,18 +468,17 @@ func (n *Network) newHost(rate units.BitRate) *host.Host {
 		n.Par.AddLPWeight(n.curLP, 1)
 	}
 	h := host.New(host.Config{
-		Sim:          n.buildSim(),
-		ID:           id,
-		Rate:         rate,
-		Prop:         n.Cfg.LinkDelay,
-		Classes:      n.Cfg.Classes,
-		AckClass:     packet.Class(n.Cfg.AckClass),
-		MTU:          n.Cfg.MTU,
-		Header:       n.Cfg.Header,
-		CNPInterval:  n.Cfg.CNPInterval,
-		PauseTimeout: n.Cfg.PauseTimeout,
-		OnFlowDone:   n.Cfg.OnFlowDone,
-		Pool:         n.buildPool(),
+		Sim:         n.buildSim(),
+		ID:          id,
+		Rate:        rate,
+		Prop:        LinkDelay,
+		Classes:     n.Cfg.Classes,
+		AckClass:    packet.Class(n.Cfg.AckClass),
+		MTU:         n.Cfg.MTU,
+		Header:      n.Cfg.Header,
+		CNPInterval: n.Cfg.CNPInterval,
+		OnFlowDone:  n.Cfg.OnFlowDone,
+		Pool:        n.buildPool(),
 	})
 	n.Hosts = append(n.Hosts, h)
 	return h
@@ -508,8 +499,8 @@ func (n *Network) newSwitch(name string, rates []units.BitRate) *switchdev.Switc
 	props := make([]units.Time, len(rates))
 	var maxEta units.ByteSize
 	for i, r := range rates {
-		etas[i] = core.RequiredHeadroom(r, cfg.LinkDelay, cfg.MTU)
-		props[i] = cfg.LinkDelay
+		etas[i] = core.RequiredHeadroom(r, LinkDelay, cfg.MTU)
+		props[i] = LinkDelay
 		if etas[i] > maxEta {
 			maxEta = etas[i]
 		}
@@ -540,19 +531,15 @@ func (n *Network) newSwitch(name string, rates []units.BitRate) *switchdev.Switc
 		panic(fmt.Sprintf("topology: switch %s has no buffer sizing rule", name))
 	}
 	mmuCfg := core.Config{
-		Ports:                  len(rates),
-		Classes:                cfg.Classes,
-		AckClass:               cfg.AckClass,
-		TotalBuffer:            buffer,
-		PrivatePerQueue:        cfg.PrivatePerQueue,
-		Eta:                    maxEta,
-		EtaPerPort:             etas,
-		Alpha:                  cfg.Alpha,
-		DeltaQueue:             cfg.DeltaQueue,
-		DeltaPort:              cfg.DeltaPort,
-		DisablePortLevel:       cfg.DisablePortLevel,
-		RefreshPause:           cfg.PauseTimeout > 0,
-		RequireHeadroomDrained: true,
+		Ports:            len(rates),
+		Classes:          cfg.Classes,
+		AckClass:         cfg.AckClass,
+		TotalBuffer:      buffer,
+		PrivatePerQueue:  cfg.PrivatePerQueue,
+		Eta:              maxEta,
+		EtaPerPort:       etas,
+		Alpha:            cfg.Alpha,
+		DisablePortLevel: cfg.DisablePortLevel,
 	}
 	var mmu core.MMU
 	var err error
@@ -568,18 +555,17 @@ func (n *Network) newSwitch(name string, rates []units.BitRate) *switchdev.Switc
 		panic(fmt.Sprintf("topology: switch %s: %v", name, err))
 	}
 	sw := switchdev.New(switchdev.Config{
-		Sim:          n.buildSim(),
-		Name:         name,
-		Ports:        len(rates),
-		Classes:      cfg.Classes,
-		AckClass:     cfg.AckClass,
-		Quantum:      cfg.Quantum,
-		MMU:          mmu,
-		ECN:          cfg.ECN,
-		INT:          cfg.INT,
-		PauseTimeout: cfg.PauseTimeout,
-		Seed:         cfg.Seed + int64(len(n.Switches))*7919,
-		Pool:         n.buildPool(),
+		Sim:      n.buildSim(),
+		Name:     name,
+		Ports:    len(rates),
+		Classes:  cfg.Classes,
+		AckClass: cfg.AckClass,
+		Quantum:  cfg.Quantum,
+		MMU:      mmu,
+		ECN:      cfg.ECN,
+		INT:      cfg.INT,
+		Seed:     cfg.Seed + int64(len(n.Switches))*7919,
+		Pool:     n.buildPool(),
 	}, rates, props)
 	n.Switches = append(n.Switches, sw)
 	return sw

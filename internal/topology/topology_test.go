@@ -332,31 +332,6 @@ func TestUnknownSchemePanics(t *testing.T) {
 	SingleSwitch(Config{Sim: sim.New(), Scheme: "BOGUS"}, 2, units.Gbps)
 }
 
-func TestPauseTimerModeStaysLossless(t *testing.T) {
-	// With 802.1Qbb pause timers (expiring pauses + refresh on arrival),
-	// a heavy incast must still complete losslessly under both schemes.
-	for _, scheme := range []Scheme{SIH, DSH} {
-		s := sim.New()
-		var done int
-		cfg := Config{
-			Sim: s, Scheme: scheme,
-			PauseTimeout: 30 * units.Microsecond, // far below the 802.1Qbb max: aggressive expiry
-			OnFlowDone:   func(*transport.Flow) { done++ },
-		}
-		n := SingleSwitch(cfg, 18, 100*units.Gbps)
-		for i := 0; i < 16; i++ {
-			n.AddFlow(newFlow(100+i, i, 17, 600_000, 0))
-		}
-		s.RunUntil(20 * units.Millisecond)
-		if done != 16 {
-			t.Errorf("[%s] completed %d/16 under pause timers", scheme, done)
-		}
-		if n.Drops() != 0 {
-			t.Errorf("[%s] drops = %d with pause timers (refresh broken?)", scheme, n.Drops())
-		}
-	}
-}
-
 func TestBufferSizingRules(t *testing.T) {
 	s := sim.New()
 	// BufferPerCapacity: 4 ports × 100G × 40us = 2MB.

@@ -22,8 +22,8 @@ import (
 type Params struct {
 	// LineRate is the NIC rate (initial window pacing reference).
 	LineRate units.BitRate
-	// BaseRTT is τ, the fabric base RTT.
-	BaseRTT units.Time
+	// Tau is τ, the fabric base RTT.
+	Tau units.Time
 	// Gamma is the EWMA weight γ (0.9).
 	Gamma float64
 	// Beta is the additive-increase term β in bytes per update.
@@ -41,7 +41,7 @@ func DefaultParams(lineRate units.BitRate, baseRTT units.Time) Params {
 	bdp := units.BandwidthDelayProduct(lineRate, baseRTT)
 	return Params{
 		LineRate: lineRate,
-		BaseRTT:  baseRTT,
+		Tau:      baseRTT,
 		Gamma:    0.9,
 		Beta:     1500,
 		MinCwnd:  1500,
@@ -74,10 +74,10 @@ var _ transport.CongestionControl = (*Controller)(nil)
 
 // New builds a controller with the window at one BDP.
 func New(p Params) *Controller {
-	if p.LineRate <= 0 || p.BaseRTT <= 0 {
-		panic("powertcp: LineRate and BaseRTT required")
+	if p.LineRate <= 0 || p.Tau <= 0 {
+		panic("powertcp: LineRate and Tau required")
 	}
-	bdp := float64(units.BandwidthDelayProduct(p.LineRate, p.BaseRTT))
+	bdp := float64(units.BandwidthDelayProduct(p.LineRate, p.Tau))
 	return &Controller{p: p, cwnd: bdp, power: 1, lastUpd: -1}
 }
 
@@ -112,7 +112,7 @@ func (c *Controller) AllowSend(now units.Time, f *transport.Flow, payload units.
 func (c *Controller) OnSend(now units.Time, f *transport.Flow, payload units.ByteSize) {
 	wire := payload + c.p.Header
 	c.history = append(c.history, sendRec{seqEnd: f.Sent + payload, cwnd: c.cwnd})
-	rate := units.BitRate(c.cwnd * 8 / c.p.BaseRTT.Seconds())
+	rate := units.BitRate(c.cwnd * 8 / c.p.Tau.Seconds())
 	if rate > c.p.LineRate {
 		rate = c.p.LineRate
 	}
@@ -134,13 +134,13 @@ func (c *Controller) OnAck(now units.Time, _ *transport.Flow, ack *packet.Packet
 		return
 	}
 	// Smooth over the base RTT.
-	dt := c.p.BaseRTT
+	dt := c.p.Tau
 	if c.lastUpd >= 0 {
 		if d := now - c.lastUpd; d < dt {
 			dt = d
 		}
 	}
-	w := float64(dt) / float64(c.p.BaseRTT)
+	w := float64(dt) / float64(c.p.Tau)
 	c.power = c.power*(1-w) + gamma*w
 	c.lastUpd = now
 
@@ -175,7 +175,7 @@ func (c *Controller) normPower(stack []packet.INTHop) (float64, bool) {
 	}
 	maxGamma := 0.0
 	updated := false
-	tau := c.p.BaseRTT.Seconds()
+	tau := c.p.Tau.Seconds()
 	for i, h := range stack {
 		prev := c.prev[i]
 		c.prev[i] = h

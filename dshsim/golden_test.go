@@ -35,6 +35,10 @@ import (
 //   - trace.sha256: the .dshtrace stream of every capture scenario at
 //     seed 1, i.e. every packet departure in order.
 //
+// The small execute bodies (goldenBodies) are also committed in full as
+// execute.<family>.json beside the digests, so a mismatch names the first
+// line that differs instead of only a hash.
+//
 // `go test -run TestGolden -update ./dshsim/` rewrites the digests of the
 // cases that ran (so -short -update leaves the heavy ones untouched). A
 // regenerated digest is a changed output: name it and say why in
@@ -55,6 +59,10 @@ var goldenHeavy = map[string]bool{
 const goldenReserve = 2 * time.Minute
 
 const goldenCodeVersion = "golden"
+
+// goldenBodies are the execute-set families whose full result body is
+// committed next to its digest.
+var goldenBodies = map[string]bool{"fig4": true, "theorem": true}
 
 func TestGolden(t *testing.T) {
 	type goldenCase struct {
@@ -116,8 +124,14 @@ func TestGolden(t *testing.T) {
 			}
 			sum := sha256.Sum256(out)
 			got := hex.EncodeToString(sum[:])
+			body := tt.set == "execute" && goldenBodies[tt.name]
 			if *update {
 				sets[tt.set][tt.name] = got
+				if body {
+					if err := os.WriteFile(bodyPath(tt.name), out, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 				return
 			}
 			want, ok := sets[tt.set][tt.name]
@@ -126,6 +140,9 @@ func TestGolden(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("digest = %s, want %s (%d output bytes)", got, want, len(out))
+				if body {
+					t.Error(firstDiff(t, bodyPath(tt.name), out))
+				}
 			}
 		})
 	}
@@ -138,6 +155,34 @@ func TestGolden(t *testing.T) {
 
 func goldenPath(set string) string {
 	return filepath.Join("testdata", "golden", set+".sha256")
+}
+
+func bodyPath(family string) string {
+	return filepath.Join("testdata", "golden", "execute."+family+".json")
+}
+
+// firstDiff describes the first line where out departs from the committed
+// body at path.
+func firstDiff(t *testing.T, path string, out []byte) string {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(out), "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("%s line %d:\n  want %q\n  got  %q", path, i+1, w, g)
+		}
+	}
+	return path + ": bodies equal line by line"
 }
 
 // readGolden parses one digest file in sha256sum format: "<hex>  <name>"

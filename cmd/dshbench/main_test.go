@@ -137,3 +137,27 @@ func writeDigests(t *testing.T, digests map[string]string) {
 		t.Fatal(err)
 	}
 }
+
+// TestBadInvocations pins the exit status of rejected command lines. A
+// missing scenario file is read before any family runs, so `all` fails at
+// once with nothing on stdout instead of after every family before faults.
+func TestBadInvocations(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-quiet", "-faults", missing, "all"}, 1},
+		{[]string{"-quiet", "-faults", missing, "fig4"}, 2},
+		{[]string{"-quiet", "-fidelity", "flow", "fig4"}, 2},
+		{[]string{"-quiet", "-fidelity", "bogus", "all"}, 2},
+		{[]string{"-quiet", "-json", "all"}, 2},
+		{[]string{"-quiet", "fig99"}, 2},
+	} {
+		stdout, stderr, code := dshbench(t, tc.args...)
+		if code != tc.code || len(stdout) != 0 {
+			t.Errorf("dshbench %v: exit %d with %d stdout bytes, want exit %d and no stdout; stderr:\n%s",
+				tc.args, code, len(stdout), tc.code, stderr)
+		}
+	}
+}

@@ -142,8 +142,8 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-ms simulation")
 	}
-	sih := fig11Run(SIH, 20, deriveSeed(1, "fig11", 2, 0), 0, nil)
-	dsh := fig11Run(DSH, 20, deriveSeed(1, "fig11", 2, 0), 0, nil)
+	sih := Fig11Point(SIH, 20, deriveSeed(1, "fig11", 2, 0), 0, nil)
+	dsh := Fig11Point(DSH, 20, deriveSeed(1, "fig11", 2, 0), 0, nil)
 	if sih == 0 {
 		t.Error("SIH absorbed a 20pc-of-buffer burst without pausing")
 	}

@@ -10,6 +10,22 @@ import (
 // Ablation experiments for the design choices DESIGN.md calls out. They are
 // not figures from the paper; they probe *why* DSH is built the way it is.
 
+// AblationResult bundles the three ablation sweeps into one result value.
+type AblationResult struct {
+	Insurance  []AblationInsuranceRow
+	Alpha      []AblationAlphaRow
+	QueueCount []AblationQueueCountRow
+}
+
+// Ablation runs the three ablation sweeps: the ablation family.
+func Ablation(opt ExpOptions) AblationResult {
+	return AblationResult{
+		Insurance:  AblationInsurance(opt),
+		Alpha:      AblationAlpha(opt),
+		QueueCount: AblationQueueCount(opt),
+	}
+}
+
 // AblationInsuranceRow reports the lossless-guarantee ablation: DSH with
 // and without the port-level flow control + insurance headroom, under an
 // all-ports burst designed to physically exhaust the shared segment.
@@ -33,7 +49,7 @@ func AblationInsurance(opt ExpOptions) []AblationInsuranceRow {
 	variants := []bool{false, true}
 	// Both variants replay the same (deterministic) burst: paired seed.
 	seed := deriveSeed(opt.Seed, "ablation-insurance", 0, 0)
-	rows := sweep(opt, "ablation-insurance", len(variants),
+	return sweep(opt, "ablation-insurance", len(variants),
 		func(i int) string {
 			if variants[i] {
 				return "DSH-noport"
@@ -77,11 +93,6 @@ func AblationInsurance(opt ExpOptions) []AblationInsuranceRow {
 				Completed:   res.FCT.Count("burst"),
 			}
 		})
-	for _, r := range rows {
-		opt.logf("ablation-insurance: %-10s drops %d  pauses %d  completed %d",
-			r.Variant, r.Drops, r.PauseFrames, r.Completed)
-	}
-	return rows
 }
 
 // AblationAlphaRow reports burst absorption for one DT α value.
@@ -106,9 +117,7 @@ func AblationAlpha(opt ExpOptions) []AblationAlphaRow {
 		})
 	var rows []AblationAlphaRow
 	for ai, a := range alphas {
-		row := AblationAlphaRow{Alpha: a, SIHMaxPct: probes[ai][SIH], DSHMaxPct: probes[ai][DSH]}
-		opt.logf("ablation-alpha: α=%-6.4f SIH ≤%d%%  DSH ≤%d%%", a, row.SIHMaxPct, row.DSHMaxPct)
-		rows = append(rows, row)
+		rows = append(rows, AblationAlphaRow{Alpha: a, SIHMaxPct: probes[ai][0], DSHMaxPct: probes[ai][1]})
 	}
 	return rows
 }
@@ -134,42 +143,31 @@ func AblationQueueCount(opt ExpOptions) []AblationQueueCountRow {
 		})
 	var rows []AblationQueueCountRow
 	for ci, classes := range classCounts {
-		row := AblationQueueCountRow{Classes: classes, SIHMaxPct: probes[ci][SIH], DSHMaxPct: probes[ci][DSH]}
-		opt.logf("ablation-queues: classes=%d SIH ≤%d%%  DSH ≤%d%%", classes, row.SIHMaxPct, row.DSHMaxPct)
-		rows = append(rows, row)
+		rows = append(rows, AblationQueueCountRow{Classes: classes, SIHMaxPct: probes[ci][0], DSHMaxPct: probes[ci][1]})
 	}
 	return rows
 }
 
-// probePauseFree fans every (sweep point × scheme × burst size) probe of a
+// probePauseFree fans every (sweep point × burst size × scheme) probe of a
 // burst-absorption ablation through the executor and reduces each
-// (point, scheme) group to its largest pause-free burst percentage. Probes
-// within a point share the point's seed (the workload is deterministic;
-// pairing keeps SIH and DSH comparable).
+// (point, scheme) group to its largest pause-free burst percentage,
+// indexed like pairedSchemes. Probes within a point share the point's seed
+// (the workload is deterministic; pairing keeps SIH and DSH comparable).
 func probePauseFree(opt ExpOptions, expID string, points int, pcts []int,
-	probe func(point int, scheme Scheme, pct int, seed int64) bool) []map[Scheme]int {
-	schemes := []Scheme{SIH, DSH}
-	n := points * len(schemes) * len(pcts)
-	split := func(i int) (point, schemeIdx, pctIdx int) {
-		return i / (len(schemes) * len(pcts)), (i / len(pcts)) % len(schemes), i % len(pcts)
-	}
-	ok := sweep(opt, expID, n,
-		func(i int) string {
-			pt, si, pi := split(i)
-			return fmt.Sprintf("point %d %s burst %d%%", pt, schemes[si], pcts[pi])
+	probe func(point int, scheme Scheme, pct int, seed int64) bool) [][2]int {
+	np := len(pcts)
+	ok := schemeSweep(opt, expID, points*np,
+		func(i int, scheme Scheme) string {
+			return fmt.Sprintf("point %d %s burst %d%%", i/np, scheme, pcts[i%np])
 		},
-		func(i int) bool {
-			pt, si, pi := split(i)
-			return probe(pt, schemes[si], pcts[pi], deriveSeed(opt.Seed, expID, pt, 0))
+		func(i int, scheme Scheme) bool {
+			return probe(i/np, scheme, pcts[i%np], deriveSeed(opt.Seed, expID, i/np, 0))
 		})
-	out := make([]map[Scheme]int, points)
-	for pt := 0; pt < points; pt++ {
-		out[pt] = map[Scheme]int{SIH: 0, DSH: 0}
-		for si, scheme := range schemes {
-			for pi, pct := range pcts {
-				if ok[(pt*len(schemes)+si)*len(pcts)+pi] && pct > out[pt][scheme] {
-					out[pt][scheme] = pct
-				}
+	out := make([][2]int, points)
+	for i, pair := range ok {
+		for si, pauseFree := range pair {
+			if pauseFree && pcts[i%np] > out[i/np][si] {
+				out[i/np][si] = pcts[i%np]
 			}
 		}
 	}

@@ -47,9 +47,25 @@ type TheoremRow struct {
 	Gain     float64
 }
 
+// tomahawkBurst is the §IV-C analysis configuration at burst intensity r:
+// the Tomahawk switch (16 MB, 32 ports, 7 accounted queues, η = 56840 B,
+// α = 1/16) with N = 2 congested and M = 16 bursting queues.
+func tomahawkBurst(r float64) analysis.BurstScenario {
+	return analysis.BurstScenario{
+		Alpha:         1.0 / 16.0,
+		N:             2,
+		M:             16,
+		R:             r,
+		Buffer:        16 * units.MB,
+		Eta:           56840,
+		Ports:         32,
+		QueuesPerPort: 7,
+		LineRate:      100 * units.Gbps,
+	}
+}
+
 // Theorem evaluates the §IV-C analysis on the Tomahawk configuration
-// (16 MB, 32 ports, 7 accounted queues, η = 56840 B, α = 1/16, N = 2
-// congested queues, M = 16 bursting queues) across burst intensities.
+// (tomahawkBurst) across burst intensities.
 func Theorem(opt ExpOptions) []TheoremRow {
 	rs := []float64{1.5, 2, 4, 8, 16, 32}
 	if opt.Full {
@@ -57,17 +73,7 @@ func Theorem(opt ExpOptions) []TheoremRow {
 	}
 	var rows []TheoremRow
 	for _, r := range rs {
-		s := analysis.BurstScenario{
-			Alpha:         1.0 / 16.0,
-			N:             2,
-			M:             16,
-			R:             r,
-			Buffer:        16 * units.MB,
-			Eta:           56840,
-			Ports:         32,
-			QueuesPerPort: 7,
-			LineRate:      100 * units.Gbps,
-		}
+		s := tomahawkBurst(r)
 		dshBound, err := s.DSHMaxBurstDuration()
 		if err != nil {
 			panic(err)
@@ -85,7 +91,6 @@ func Theorem(opt ExpOptions) []TheoremRow {
 			SIHFluid: s.FluidPauseTime("SIH"),
 			Gain:     gain,
 		})
-		opt.logf("theorem: R=%4.1f  DSH %v  SIH %v  gain %.2fx", r, dshBound, sihBound, gain)
 	}
 	return rows
 }
@@ -103,27 +108,14 @@ type Fig10Series struct {
 // Fig10 integrates the §IV-C fluid model for both schemes in both regimes
 // (slow: congested queues follow the threshold; fast: they drain at line
 // rate), producing the evolutions plotted in Fig. 10.
-func Fig10(opt ExpOptions) []Fig10Series {
-	s := analysis.BurstScenario{
-		Alpha:         1.0 / 16.0,
-		N:             2,
-		M:             16,
-		R:             0, // set per series
-		Buffer:        16 * units.MB,
-		Eta:           56840,
-		Ports:         32,
-		QueuesPerPort: 7,
-		LineRate:      100 * units.Gbps,
-	}
+func Fig10(ExpOptions) []Fig10Series {
 	var out []Fig10Series
 	for _, r := range []float64{1.8, 16} {
 		for _, scheme := range []string{"DSH", "SIH"} {
-			sc := s
-			sc.R = r
+			sc := tomahawkBurst(r)
 			step := float64(sc.Buffer) / 2e6
 			pts, crossing := sc.FluidTrace(scheme, step, 4*float64(sc.Buffer))
 			out = append(out, Fig10Series{Scheme: scheme, R: r, Points: pts, PauseAt: crossing})
-			opt.logf("fig10: %s R=%.1f pause at %.0f bytes (normalized)", scheme, r, crossing)
 		}
 	}
 	return out

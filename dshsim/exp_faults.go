@@ -94,69 +94,42 @@ func faultClasses() []faultClass {
 	}
 }
 
-// Faults runs the fault-injection family: every built-in fault class under
-// both schemes, against the same web-search + incast workload (one shared
-// seed, so the clean "none" rows are the baseline every fault is compared
-// to). The deadlock detector is armed on every run.
-func Faults(opt ExpOptions) []FaultsRow {
+// Faults runs the fault-injection family under both schemes against the
+// same web-search + incast workload (one shared seed, so the clean "none"
+// rows are the baseline every fault is compared to), with the deadlock
+// detector armed on every run. A nil sc runs every built-in fault class;
+// otherwise sc (e.g. from dshbench -faults) is the only scenario, its node
+// IDs addressing the benchmark leaf–spine fabric: hosts 0..H-1 first, then
+// switches (leaves before spines).
+func Faults(opt ExpOptions, sc *FaultScenario) []FaultsRow {
 	classes := faultClasses()
-	schemes := []Scheme{SIH, DSH}
-	n := len(classes) * len(schemes)
-	rows := sweep(opt, "faults", n,
-		func(i int) string {
-			return fmt.Sprintf("%s/%s", classes[i/len(schemes)].name, schemes[i%len(schemes)])
-		},
-		func(i int) FaultsRow {
-			ci, si := i/len(schemes), i%len(schemes)
-			return runFaultsRow(opt, classes[ci].name, schemes[si], classes[ci].mk,
-				deriveSeed(opt.Seed, "faults", 0, 0))
-		})
-	for _, r := range rows {
-		opt.logf("faults: %-8s %s  bg %v  p99 %v  unfinished %d  wiredrops %d  deadlock %v",
-			r.Fault, r.Scheme, r.AvgBgFCT, r.P99BgFCT, r.Unfinished, r.WireDrops, r.Deadlocked)
+	if sc != nil {
+		classes = []faultClass{{sc.Name, func(*LeafSpineTopo, fabricParams) *FaultScenario { return sc }}}
+	}
+	seed := deriveSeed(opt.Seed, "faults", 0, 0)
+	pairs := schemeSweep(opt, "faults", len(classes),
+		func(ci int, scheme Scheme) string { return fmt.Sprintf("%s/%s", classes[ci].name, scheme) },
+		func(ci int, scheme Scheme) FaultsRow { return runFaultsRow(opt, classes[ci], scheme, seed) })
+	var rows []FaultsRow
+	for _, p := range pairs {
+		rows = append(rows, p[:]...)
 	}
 	return rows
 }
 
-// FaultsWith runs a user-supplied scenario (e.g. from dshbench -faults) on
-// the benchmark leaf–spine fabric under both schemes. The scenario's node
-// IDs address that fabric: hosts 0..H-1 first, then switches (leaves before
-// spines).
-func FaultsWith(opt ExpOptions, sc *FaultScenario) []FaultsRow {
-	schemes := []Scheme{SIH, DSH}
-	rows := sweep(opt, "faults-spec", len(schemes),
-		func(i int) string { return fmt.Sprintf("%s/%s", sc.Name, schemes[i]) },
-		func(i int) FaultsRow {
-			return runFaultsRow(opt, sc.Name, schemes[i],
-				func(*LeafSpineTopo, fabricParams) *FaultScenario { return sc },
-				deriveSeed(opt.Seed, "faults", 0, 0))
-		})
-	for _, r := range rows {
-		opt.logf("faults: %-8s %s  bg %v  p99 %v  unfinished %d  wiredrops %d  deadlock %v",
-			r.Fault, r.Scheme, r.AvgBgFCT, r.P99BgFCT, r.Unfinished, r.WireDrops, r.Deadlocked)
-	}
-	return rows
-}
-
-func runFaultsRow(opt ExpOptions, name string, scheme Scheme,
-	mk func(*LeafSpineTopo, fabricParams) *FaultScenario, seed int64) FaultsRow {
+func runFaultsRow(opt ExpOptions, class faultClass, scheme Scheme, seed int64) FaultsRow {
 	fp := fabric(opt)
-	nc := NetworkConfig{Scheme: scheme, Transport: TransportDCQCN, Seed: seed, LPWorkers: opt.LPWorkers}
-	if !opt.Full {
-		nc.bufferHook = paperPressureBuffers
-	} else {
-		nc.Buffer = 16 * units.MB
-	}
+	nc := evalNetConfig(opt, scheme, TransportDCQCN, seed)
 	ls := NewLeafSpine(nc, fp.leaves, fp.spines, fp.hostsPerLeaf, fp.rate, fp.rate)
 	rng := rand.New(rand.NewSource(seed))
 	specs := mixedSpecs(rng, ls.LeafHosts, WebSearch(), 0.6, 0.9, fp.rate, fp.duration, fp.fanIn)
 	res := Run(ls.Network, RunConfig{
 		Specs: specs, Duration: fp.duration, Drain: true, DrainCap: 10 * fp.duration,
-		Faults: mk(ls, fp), DetectDeadlock: true,
+		Faults: class.mk(ls, fp), DetectDeadlock: true,
 	})
 	opt.Stats.note(res)
 	return FaultsRow{
-		Fault:       name,
+		Fault:       class.name,
 		Scheme:      scheme,
 		AvgBgFCT:    res.FCT.Avg("background"),
 		P99BgFCT:    res.FCT.Percentile("background", 0.99),

@@ -25,6 +25,19 @@ func paperPressureBuffers(name string, sihReservation units.ByteSize, _ units.Bi
 	return units.ByteSize(float64(sihReservation) / frac)
 }
 
+// evalNetConfig is the switch configuration of the §V-B evaluation runs:
+// buffers sized by paperPressureBuffers at reduced scale, the 16 MB
+// Tomahawk buffer at full scale.
+func evalNetConfig(opt ExpOptions, scheme Scheme, tr TransportKind, seed int64) NetworkConfig {
+	nc := NetworkConfig{Scheme: scheme, Transport: tr, Seed: seed, LPWorkers: opt.LPWorkers}
+	if opt.Full {
+		nc.Buffer = 16 * units.MB
+	} else {
+		nc.bufferHook = paperPressureBuffers
+	}
+	return nc
+}
+
 // fabricParams describes the benchmark leaf–spine fabric at the selected
 // scale.
 type fabricParams struct {
@@ -131,17 +144,12 @@ func Fig14(opt ExpOptions) []Fig14Row {
 		},
 		func(i int) LoadPoint {
 			ti, li := i/len(loads), i%len(loads)
-			return runLoadPoint(opt, transports[ti], WebSearch(), loads[li], 0.9, "leafspine",
+			return runLoadPoint(opt, transports[ti], WebSearch(), loads[li], "leafspine",
 				deriveSeed(opt.Seed, "fig14", li, 0))
 		})
 	var rows []Fig14Row
 	for ti, tr := range transports {
-		row := Fig14Row{Transport: tr, Points: points[ti*len(loads) : (ti+1)*len(loads)]}
-		for li, pt := range row.Points {
-			opt.logf("fig14: %-8s bg=%.1f  bg DSH/SIH %.3f  fanin DSH/SIH %.3f",
-				tr, loads[li], pt.NormBg(), pt.NormFanin())
-		}
-		rows = append(rows, row)
+		rows = append(rows, Fig14Row{Transport: tr, Points: points[ti*len(loads) : (ti+1)*len(loads)]})
 	}
 	return rows
 }
@@ -179,17 +187,12 @@ func Fig15(opt ExpOptions) []Fig15Row {
 		func(i int) LoadPoint {
 			vi, li := i/len(loads), i%len(loads)
 			v := variants[vi]
-			return runLoadPoint(opt, TransportDCQCN, v.dist, loads[li], 0.9, v.topo,
+			return runLoadPoint(opt, TransportDCQCN, v.dist, loads[li], v.topo,
 				deriveSeed(opt.Seed, "fig15", vi, li))
 		})
 	var rows []Fig15Row
 	for vi, v := range variants {
-		row := Fig15Row{Name: v.name, Topology: v.topo, Points: points[vi*len(loads) : (vi+1)*len(loads)]}
-		for li, pt := range row.Points {
-			opt.logf("fig15: %-10s/%-9s bg=%.1f  bg DSH/SIH %.3f",
-				v.name, v.topo, loads[li], pt.NormBg())
-		}
-		rows = append(rows, row)
+		rows = append(rows, Fig15Row{Name: v.name, Topology: v.topo, Points: points[vi*len(loads) : (vi+1)*len(loads)]})
 	}
 	return rows
 }
@@ -198,48 +201,7 @@ func Fig15(opt ExpOptions) []Fig15Row {
 // schemes and returns the paired averages; topo is "leafspine" or
 // "fattree".
 func LoadPointAt(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad float64, topo string) LoadPoint {
-	return runLoadPoint(opt, tr, dist, bgLoad, 0.9, topo, deriveSeed(opt.Seed, "loadpoint", 0, 0))
-}
-
-// LoadPointAt2 is LoadPointAt with an explicit total load (total − bg goes
-// to incast; equal loads mean no incast at all).
-func LoadPointAt2(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad, totalLoad float64, topo string) LoadPoint {
-	return runLoadPoint(opt, tr, dist, bgLoad, totalLoad, topo, deriveSeed(opt.Seed, "loadpoint", 0, 0))
-}
-
-// LoadPointScaled runs one Fig. 14-style point on an explicitly sized
-// leaf–spine fabric (for scale-sensitivity studies).
-func LoadPointScaled(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad float64,
-	leaves, spines, hostsPerLeaf int) LoadPoint {
-	pt := LoadPoint{BgLoad: bgLoad}
-	fcts := map[Scheme]map[int]units.Time{}
-	tags := map[int]string{}
-	const rate = 100 * units.Gbps
-	duration := 3 * units.Millisecond
-	seed := deriveSeed(opt.Seed, "loadpoint-scaled", leaves*1000+spines, hostsPerLeaf)
-	for _, scheme := range []Scheme{SIH, DSH} {
-		nc := NetworkConfig{Scheme: scheme, Transport: tr, Seed: seed, LPWorkers: opt.LPWorkers}
-		nc.bufferHook = paperPressureBuffers
-		ls := NewLeafSpine(nc, leaves, spines, hostsPerLeaf, rate, rate)
-		rng := rand.New(rand.NewSource(seed))
-		specs := mixedSpecs(rng, ls.LeafHosts, dist, bgLoad, 0.9, rate, duration, 16)
-		res := Run(ls.Network, RunConfig{Specs: specs, Duration: duration, Drain: true, DrainCap: 10 * duration})
-		byID := make(map[int]units.Time)
-		for _, tag := range []string{"background", "fanin"} {
-			for _, r := range res.FCT.Records(tag) {
-				byID[r.ID] = r.FCT
-				tags[r.ID] = tag
-			}
-		}
-		fcts[scheme] = byID
-		if scheme == SIH {
-			pt.SIHUnfinished = res.Unfinished
-		} else {
-			pt.DSHUnfinished = res.Unfinished
-		}
-	}
-	fillPaired(&pt, fcts, tags)
-	return pt
+	return runLoadPoint(opt, tr, dist, bgLoad, topo, deriveSeed(opt.Seed, "loadpoint", 0, 0))
 }
 
 // FatTreePoint runs one paper-scale fat-tree load point — the k=16 fabric
@@ -270,22 +232,18 @@ func FatTreePoint(scheme Scheme, seed int64, lpWorkers int, stats *SweepStats) i
 	return done
 }
 
-// runLoadPoint runs the same workload under SIH and DSH and returns the
-// paired averages. Averages are computed over the flows that completed in
+// runLoadPoint runs the same workload — background at bgLoad plus incast
+// up to a total load of 0.9 — under SIH and DSH and returns the paired
+// averages. Averages are computed over the flows that completed in
 // BOTH runs: a scheme that leaves its slowest flows unfinished must not be
 // rewarded by having them drop out of its mean. seed drives the point's
 // flow schedule and ECN coin flips; both schemes use it identically.
-func runLoadPoint(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad, totalLoad float64, topo string, seed int64) LoadPoint {
+func runLoadPoint(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad float64, topo string, seed int64) LoadPoint {
 	pt := LoadPoint{BgLoad: bgLoad}
 	fcts := map[Scheme]map[int]units.Time{}
 	tags := map[int]string{}
-	for _, scheme := range []Scheme{SIH, DSH} {
-		nc := NetworkConfig{Scheme: scheme, Transport: tr, Seed: seed, LPWorkers: opt.LPWorkers}
-		if !opt.Full {
-			nc.bufferHook = paperPressureBuffers
-		} else {
-			nc.Buffer = 16 * units.MB
-		}
+	for _, scheme := range pairedSchemes {
+		nc := evalNetConfig(opt, scheme, tr, seed)
 		var net *Network
 		var racks [][]int
 		var duration units.Time
@@ -314,7 +272,7 @@ func runLoadPoint(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad, tota
 			panic("dshsim: unknown topology " + topo)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		specs := mixedSpecs(rng, racks, dist, bgLoad, totalLoad, rate, duration, fanIn)
+		specs := mixedSpecs(rng, racks, dist, bgLoad, 0.9, rate, duration, fanIn)
 		res := Run(net, RunConfig{Specs: specs, Duration: duration, Drain: true, DrainCap: 10 * duration})
 		byID := make(map[int]units.Time)
 		for _, tag := range []string{"background", "fanin"} {
@@ -412,9 +370,6 @@ func Fig5(opt ExpOptions) []Fig5Row {
 				PauseFrames: res.PauseFrames,
 			}
 		})
-	for _, r := range rows {
-		opt.logf("fig5: buffer %v  avg FCT %v  p99 %v  pauses %d", r.Buffer, r.AvgFCT, r.P99FCT, r.PauseFrames)
-	}
 	return rows
 }
 
@@ -432,12 +387,7 @@ type Fig6Result struct {
 func Fig6(opt ExpOptions) Fig6Result {
 	fp := fabric(opt)
 	seed := deriveSeed(opt.Seed, "fig6", 0, 0)
-	nc := NetworkConfig{Scheme: SIH, Transport: TransportDCQCN, Seed: seed, LPWorkers: opt.LPWorkers}
-	if !opt.Full {
-		nc.bufferHook = paperPressureBuffers
-	} else {
-		nc.Buffer = 16 * units.MB
-	}
+	nc := evalNetConfig(opt, SIH, TransportDCQCN, seed)
 	ls := NewLeafSpine(nc, fp.leaves, fp.spines, fp.hostsPerLeaf, fp.rate, fp.rate)
 
 	// One tracker per switch port.

@@ -25,9 +25,6 @@ type ExpOptions struct {
 	// its RNGs, so the results are bit-identical for any worker count;
 	// Workers == 1 additionally reproduces the serial execution order.
 	Workers int
-	// Log, when non-nil, receives result lines (one per completed sweep
-	// row, emitted in row order after the sweep finishes).
-	Log func(format string, args ...any)
 	// Progress, when non-nil, receives one callback per completed sweep
 	// job, as it completes. With Workers > 1 it may be called from worker
 	// goroutines (never concurrently with itself).
@@ -58,12 +55,6 @@ type ExpOptions struct {
 	testLoads  []float64
 }
 
-func (o ExpOptions) logf(format string, args ...any) {
-	if o.Log != nil {
-		o.Log(format, args...)
-	}
-}
-
 // Fig11Row is one point of Fig. 11b: the total PFC pause duration suffered
 // by the fan-in senders as a function of burst size.
 type Fig11Row struct {
@@ -89,29 +80,16 @@ func Fig11(opt ExpOptions) []Fig11Row {
 // per (burst size, scheme), both schemes of a point sharing the point's
 // derived seed (the paired comparison).
 func fig11Sweep(opt ExpOptions, fractions []int) []Fig11Row {
-	schemes := []Scheme{SIH, DSH}
-	n := len(fractions) * len(schemes)
-	paused := sweep(opt, "fig11", n,
-		func(i int) string {
-			return fmt.Sprintf("burst %d%% %s", fractions[i/len(schemes)], schemes[i%len(schemes)])
-		},
-		func(i int) units.Time {
-			pt, scheme := i/len(schemes), schemes[i%len(schemes)]
-			return fig11Run(scheme, fractions[pt], deriveSeed(opt.Seed, "fig11", pt, 0), opt.LPWorkers, opt.Stats)
+	paused := schemeSweep(opt, "fig11", len(fractions),
+		func(pt int, scheme Scheme) string { return fmt.Sprintf("burst %d%% %s", fractions[pt], scheme) },
+		func(pt int, scheme Scheme) units.Time {
+			return Fig11Point(scheme, fractions[pt], deriveSeed(opt.Seed, "fig11", pt, 0), opt.LPWorkers, opt.Stats)
 		})
 	rows := make([]Fig11Row, len(fractions))
 	for i, pct := range fractions {
-		rows[i] = Fig11Row{BurstPct: pct, SIHPaused: paused[2*i], DSHPaused: paused[2*i+1]}
-		opt.logf("fig11: burst %2d%%  SIH %v  DSH %v", pct, rows[i].SIHPaused, rows[i].DSHPaused)
+		rows[i] = Fig11Row{BurstPct: pct, SIHPaused: paused[i][0], DSHPaused: paused[i][1]}
 	}
 	return rows
-}
-
-// Fig11Point runs one full-scale Fig. 11 burst point and returns the summed
-// fan-in pause time. Exported for the benchkit serial-vs-parallel speedup
-// kernel; lpWorkers selects the engine exactly like ExpOptions.LPWorkers.
-func Fig11Point(scheme Scheme, burstPct int, seed int64, lpWorkers int, stats *SweepStats) units.Time {
-	return fig11Run(scheme, burstPct, seed, lpWorkers, stats)
 }
 
 // Fig. 11 topology constants, shared with the trace scenario registry
@@ -147,7 +125,10 @@ func fig11Schedule(burstPct int) (specs []FlowSpec, horizon units.Time) {
 	return specs, horizon
 }
 
-func fig11Run(scheme Scheme, burstPct int, seed int64, lpWorkers int, stats *SweepStats) units.Time {
+// Fig11Point runs one Fig. 11 burst point and returns the summed fan-in
+// pause time. Exported for the benchkit serial-vs-parallel speedup kernel;
+// lpWorkers selects the engine exactly like ExpOptions.LPWorkers.
+func Fig11Point(scheme Scheme, burstPct int, seed int64, lpWorkers int, stats *SweepStats) units.Time {
 	nc := NetworkConfig{Scheme: scheme, Transport: TransportNone, Buffer: fig11Buffer, Seed: seed, LPWorkers: lpWorkers}
 	net := NewSingleSwitch(nc, fig11Hosts, fig11Rate)
 
@@ -204,36 +185,29 @@ func Fig12Reduced(opt ExpOptions, runs int, duration units.Time) []Fig12Row {
 	return fig12Campaign(opt, runs, 4, 100*units.Gbps, duration)
 }
 
-// fig12Campaign submits every (transport × scheme × repetition) of the
+// fig12Campaign submits every (transport × repetition × scheme) of the
 // deadlock experiment as one executor job. The seed of a repetition depends
 // on the transport and the run index but NOT on the scheme, so SIH and DSH
 // face identical workloads run for run — the paired comparison the figure
 // plots — while every repetition draws an independent stream.
 func fig12Campaign(opt ExpOptions, runs, hostsPerLeaf int, upRate units.BitRate, duration units.Time) []Fig12Row {
 	transports := []TransportKind{TransportDCQCN, TransportPowerTCP}
-	schemes := []Scheme{SIH, DSH}
-	perRow := runs
-	n := len(transports) * len(schemes) * perRow
-	split := func(i int) (trIdx, schemeIdx, run int) {
-		return i / (len(schemes) * perRow), (i / perRow) % len(schemes), i % perRow
-	}
-	onsets := sweep(opt, "fig12", n,
-		func(i int) string {
-			ti, si, run := split(i)
-			return fmt.Sprintf("%s/%s run %d", schemes[si], transports[ti], run)
+	onsets := schemeSweep(opt, "fig12", len(transports)*runs,
+		func(i int, scheme Scheme) string {
+			return fmt.Sprintf("%s/%s run %d", scheme, transports[i/runs], i%runs)
 		},
-		func(i int) units.Time {
-			ti, si, run := split(i)
-			seed := deriveSeed(opt.Seed, "fig12", ti, run)
-			return fig12Run(schemes[si], transports[ti], hostsPerLeaf, upRate, duration, seed, opt.LPWorkers)
+		func(i int, scheme Scheme) units.Time {
+			seed := deriveSeed(opt.Seed, "fig12", i/runs, i%runs)
+			return fig12Run(scheme, transports[i/runs], hostsPerLeaf, upRate, duration, seed, opt.LPWorkers)
 		})
 	var rows []Fig12Row
 	for ti, tr := range transports {
-		for si, scheme := range schemes {
-			base := (ti*len(schemes) + si) * perRow
-			row := fig12Row(scheme, tr, onsets[base:base+perRow])
-			opt.logf("fig12: %s/%-8s deadlocks %d/%d", scheme, tr, row.Deadlocks, row.Runs)
-			rows = append(rows, row)
+		for si, scheme := range pairedSchemes {
+			variant := make([]units.Time, runs)
+			for run := range variant {
+				variant[run] = onsets[ti*runs+run][si]
+			}
+			rows = append(rows, fig12Row(scheme, tr, variant))
 		}
 	}
 	return rows
@@ -342,22 +316,16 @@ func (r Fig13Row) MinDuringBurst() units.BitRate {
 // goodput time series for each transport and scheme.
 func Fig13(opt ExpOptions) []Fig13Row {
 	transports := []TransportKind{TransportNone, TransportDCQCN, TransportPowerTCP}
-	schemes := []Scheme{SIH, DSH}
-	n := len(transports) * len(schemes)
-	rows := sweep(opt, "fig13", n,
-		func(i int) string {
-			return fmt.Sprintf("%s/%s", schemes[i%len(schemes)], transports[i/len(schemes)])
-		},
-		func(i int) Fig13Row {
-			ti := i / len(schemes)
+	pairs := schemeSweep(opt, "fig13", len(transports),
+		func(ti int, scheme Scheme) string { return fmt.Sprintf("%s/%s", scheme, transports[ti]) },
+		func(ti int, scheme Scheme) Fig13Row {
 			// Both schemes of a transport share the point seed (the seed
 			// only drives ECN coin flips; pairing keeps them comparable).
-			return fig13Run(schemes[i%len(schemes)], transports[ti],
-				deriveSeed(opt.Seed, "fig13", ti, 0), opt.LPWorkers)
+			return fig13Run(scheme, transports[ti], deriveSeed(opt.Seed, "fig13", ti, 0), opt.LPWorkers)
 		})
-	for _, r := range rows {
-		opt.logf("fig13: %s/%-8s min F0 goodput during burst: %v", r.Scheme, r.Transport,
-			r.MinDuringBurst())
+	var rows []Fig13Row
+	for _, p := range pairs {
+		rows = append(rows, p[:]...)
 	}
 	return rows
 }

@@ -181,27 +181,21 @@ func Scale(opt ExpOptions) []ScaleRow {
 		fidelity = FidelityFlow
 	}
 	targets := scaleTargets(opt)
-	schemes := []Scheme{SIH, DSH}
-	n := len(targets) * len(schemes)
 	type pointRes struct {
 		st    ScaleSchemeStats
 		flows int
 		dur   units.Time
 	}
-	points := sweep(opt, "scale", n,
-		func(i int) string {
-			return fmt.Sprintf("%s n=%d", schemes[i%len(schemes)], targets[i/len(schemes)])
-		},
-		func(i int) pointRes {
-			ti, si := i/len(schemes), i%len(schemes)
-			st, flows, dur := ScalePoint(schemes[si], fidelity, targets[ti],
+	points := schemeSweep(opt, "scale", len(targets),
+		func(ti int, scheme Scheme) string { return fmt.Sprintf("%s n=%d", scheme, targets[ti]) },
+		func(ti int, scheme Scheme) pointRes {
+			st, flows, dur := ScalePoint(scheme, fidelity, targets[ti],
 				deriveSeed(opt.Seed, "scale", ti, 0), opt.LPWorkers, opt.Stats)
 			return pointRes{st, flows, dur}
 		})
 	rows := make([]ScaleRow, len(targets))
 	for ti, target := range targets {
-		sih := points[ti*len(schemes)]
-		dsh := points[ti*len(schemes)+1]
+		sih, dsh := points[ti][0], points[ti][1]
 		rows[ti] = ScaleRow{
 			TargetFlows: target,
 			Flows:       sih.flows,
@@ -210,9 +204,6 @@ func Scale(opt ExpOptions) []ScaleRow {
 			SIH:         sih.st,
 			DSH:         dsh.st,
 		}
-		opt.logf("scale: n=%-8d fidelity=%-6s  SIH p99 %v  DSH p99 %v  paused SIH %v DSH %v",
-			target, fidelity, rows[ti].SIH.P99, rows[ti].DSH.P99,
-			rows[ti].SIH.PausedTime, rows[ti].DSH.PausedTime)
 	}
 	return rows
 }

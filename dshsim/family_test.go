@@ -2,25 +2,41 @@ package dshsim
 
 import (
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 )
 
-// TestFamiliesMatchDshbench pins the registry to the CLI's experiment set:
-// a family added to one but not the other is a drift bug.
+// TestFamiliesMatchDshbench pins the family set every caller reads from
+// the table (dshbench's usage and `all`, dshserve's /families): Families()
+// stays sorted whatever the table order, and the two family facts sit on
+// the one family each that had them before the table existed.
 func TestFamiliesMatchDshbench(t *testing.T) {
 	want := []string{"ablation", "faults", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "fig4", "fig5", "fig6", "scale", "theorem"}
 	if got := Families(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Families() = %v, want %v", got, want)
 	}
+	if got := len(FamilyTable()); got != len(want) {
+		t.Fatalf("FamilyTable() has %d entries, want %d", got, len(want))
+	}
 	for _, name := range want {
-		if !IsFamily(name) {
-			t.Errorf("IsFamily(%q) = false", name)
+		if f, ok := LookupFamily(name); !ok || f.Name != name {
+			t.Errorf("LookupFamily(%q) = %q, %v", name, f.Name, ok)
 		}
 	}
-	if IsFamily("all") || IsFamily("") {
-		t.Error("IsFamily accepted a non-family name")
+	for _, name := range []string{"all", ""} {
+		if _, ok := LookupFamily(name); ok {
+			t.Errorf("LookupFamily accepted the non-family name %q", name)
+		}
+	}
+	for _, f := range FamilyTable() {
+		if f.About == "" {
+			t.Errorf("%s: no description", f.Name)
+		}
+		if f.TakesFaults != (f.Name == "faults") || f.HasFidelity != (f.Name == "scale") {
+			t.Errorf("%s: TakesFaults %v, HasFidelity %v", f.Name, f.TakesFaults, f.HasFidelity)
+		}
 	}
 }
 
@@ -37,6 +53,17 @@ func TestRunFamilyFaultsGating(t *testing.T) {
 	sc := &FaultScenario{Name: "t", Events: []FaultEvent{}}
 	if _, err := RunFamily("fig4", ExpOptions{Seed: 1}, sc); err == nil {
 		t.Fatal("RunFamily(fig4, scenario) succeeded, want error")
+	}
+}
+
+// TestRunFamilyFidelityGating: like a scenario, a fidelity is rejected by
+// a family without that dimension rather than ignored.
+func TestRunFamilyFidelityGating(t *testing.T) {
+	if _, err := RunFamily("fig4", ExpOptions{Seed: 1, Fidelity: FidelityFlow}, nil); err == nil {
+		t.Fatal("RunFamily(fig4, fidelity flow) succeeded, want error")
+	}
+	if err := WriteTable(io.Discard, "fig99", nil); err == nil {
+		t.Fatal("WriteTable(fig99) succeeded, want error")
 	}
 }
 

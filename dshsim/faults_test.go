@@ -25,12 +25,12 @@ func tinyFaultOpts(seed int64, lpWorkers int) ExpOptions {
 // live on the coordinator, so the partitioned total order is unchanged by
 // the worker count).
 func TestFaultsFamilyDeterministic(t *testing.T) {
-	a := Faults(tinyFaultOpts(9, 1))
-	b := Faults(tinyFaultOpts(9, 1))
+	a := Faults(tinyFaultOpts(9, 1), nil)
+	b := Faults(tinyFaultOpts(9, 1), nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("faults family not reproducible:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
-	c := Faults(tinyFaultOpts(9, 4))
+	c := Faults(tinyFaultOpts(9, 4), nil)
 	if !reflect.DeepEqual(a, c) {
 		t.Errorf("faults rows differ between LPWorkers:1 and LPWorkers:4:\nserial:   %+v\nparallel: %+v", a, c)
 	}
@@ -52,8 +52,9 @@ func TestFaultsFamilyDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultsWithSpec drives the custom-scenario entry point (dshbench
-// -faults) with a flap on the benchmark fabric.
+// TestFaultsWithSpec drives Faults with a caller-supplied scenario (what
+// dshbench -faults passes) holding a flap on the benchmark fabric: the
+// scenario replaces the built-in classes, one row per scheme.
 func TestFaultsWithSpec(t *testing.T) {
 	opt := tinyFaultOpts(3, 1)
 	fp := *opt.testFabric
@@ -62,11 +63,14 @@ func TestFaultsWithSpec(t *testing.T) {
 		Kind: FaultLinkFlap, At: fp.duration / 8, Duration: fp.duration / 4,
 		Node: 4, Port: fp.hostsPerLeaf,
 	}}}
-	rows := FaultsWith(opt, sc)
+	rows := Faults(opt, sc)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 	for _, r := range rows {
+		if r.Fault != "spec" {
+			t.Errorf("%s: Fault = %q, want the scenario name", r.Scheme, r.Fault)
+		}
 		if r.Stats.Flaps != 1 {
 			t.Errorf("%s: Flaps = %d, want 1", r.Scheme, r.Stats.Flaps)
 		}

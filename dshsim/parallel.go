@@ -186,3 +186,21 @@ func sweep[T any](opt ExpOptions, experiment string, n int, name func(i int) str
 	}
 	return out
 }
+
+// pairedSchemes is the order a paired sweep runs its schemes in.
+var pairedSchemes = [2]Scheme{SIH, DSH}
+
+// schemeSweep runs every point under both schemes as one sweep — point
+// major, SIH first — and returns each point's results indexed like
+// pairedSchemes. name labels a job; run computes it.
+func schemeSweep[T any](opt ExpOptions, experiment string, points int,
+	name func(pt int, scheme Scheme) string, run func(pt int, scheme Scheme) T) [][2]T {
+	flat := sweep(opt, experiment, 2*points,
+		func(i int) string { return name(i/2, pairedSchemes[i%2]) },
+		func(i int) T { return run(i/2, pairedSchemes[i%2]) })
+	out := make([][2]T, points)
+	for i, v := range flat {
+		out[i/2][i%2] = v
+	}
+	return out
+}

@@ -11,11 +11,9 @@ import (
 // threads one through ExpOptions.Stats to surface events-processed and
 // heap-high-water numbers per kernel.
 type SweepStats struct {
-	events    atomic.Uint64
-	epochs    atomic.Uint64
-	heapMax   atomic.Int64
-	wireDrops atomic.Int64
-	deadlocks atomic.Int64
+	events  atomic.Uint64
+	epochs  atomic.Uint64
+	heapMax atomic.Int64
 	// lpBalance holds the worst (largest) per-run LP balance ratio across
 	// noted runs, as math.Float64bits — non-negative floats compare
 	// correctly as uint64s, so the CAS-max stays branch-free.
@@ -30,10 +28,6 @@ func (st *SweepStats) note(res *Result) {
 	}
 	st.events.Add(res.Events)
 	st.epochs.Add(res.Epochs)
-	st.wireDrops.Add(res.WireDrops)
-	if res.Deadlocked {
-		st.deadlocks.Add(1)
-	}
 	for {
 		cur := st.heapMax.Load()
 		if int64(res.HeapMax) <= cur || st.heapMax.CompareAndSwap(cur, int64(res.HeapMax)) {
@@ -65,9 +59,3 @@ func (st *SweepStats) LPBalance() float64 {
 
 // HeapMax returns the largest event-heap high-water mark across noted runs.
 func (st *SweepStats) HeapMax() int { return int(st.heapMax.Load()) }
-
-// WireDrops returns packets lost to down links across noted runs.
-func (st *SweepStats) WireDrops() int64 { return st.wireDrops.Load() }
-
-// Deadlocks returns how many noted runs confirmed a PFC deadlock.
-func (st *SweepStats) Deadlocks() int64 { return st.deadlocks.Load() }

@@ -172,7 +172,8 @@ func TestSubmitComputeCacheHit(t *testing.T) {
 }
 
 // TestSubmitRejects pins the 400 surface: malformed JSON, unknown family,
-// misspelled field, and a scenario on a non-faults family.
+// misspelled field, and a scenario, a fidelity or a scheme filter on a
+// family without that dimension.
 func TestSubmitRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		RunFunc: func(sp Spec, _ string, _ func(dshsim.SweepProgress)) ([]byte, error) {
@@ -184,6 +185,8 @@ func TestSubmitRejects(t *testing.T) {
 		`{"family":"fig99"}`,
 		`{"family":"fig11","sheme":"DSH"}`,
 		`{"family":"fig11","faults":{"name":"x"}}`,
+		`{"family":"fig11","fidelity":"flow"}`,
+		`{"family":"fig11","scheme":"DSH"}`,
 	} {
 		code, st := postJob(t, ts, body)
 		if code != http.StatusBadRequest || st.Error == "" {

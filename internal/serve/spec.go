@@ -57,12 +57,14 @@ type Spec struct {
 	// headroom mode: "SIH" or "DSH", case-insensitive; empty keeps both.
 	// It changes the rows a result contains, so it is semantic.
 	Scheme string `json:"scheme,omitempty"`
-	// Fidelity selects the simulation granularity of the scale family
-	// ("packet", "flow", or "hybrid"; empty = the family default). It
+	// Fidelity selects the simulation granularity of a family with that
+	// dimension ("packet", "flow", or "hybrid"; empty = the family
+	// default). It
 	// changes every FCT a result contains, so it is semantic — and being
 	// omitempty everywhere, pre-fidelity specs keep their content keys.
 	Fidelity string `json:"fidelity,omitempty"`
-	// Faults replaces the built-in fault classes of the faults family.
+	// Faults replaces the built-in fault classes of a family that takes a
+	// fault scenario.
 	Faults *dshsim.FaultScenario `json:"faults,omitempty"`
 
 	// Workers bounds sweep-point concurrency inside the job (0 = all
@@ -103,9 +105,10 @@ func (sp Spec) Normalized() Spec {
 // scheme and therefore support the Scheme filter.
 var schemeFamilies = map[string]bool{"fig12": true, "faults": true}
 
-// Validate checks a normalized spec against the registry.
+// Validate checks a normalized spec against the family table.
 func (sp Spec) Validate() error {
-	if !dshsim.IsFamily(sp.Family) {
+	fam, ok := dshsim.LookupFamily(sp.Family)
+	if !ok {
 		return fmt.Errorf("serve: unknown family %q (have %v)", sp.Family, dshsim.Families())
 	}
 	if sp.Seed < 0 {
@@ -127,11 +130,11 @@ func (sp Spec) Validate() error {
 		if !dshsim.ValidFidelity(sp.Fidelity) {
 			return fmt.Errorf("serve: unknown fidelity %q (want one of %v)", sp.Fidelity, dshsim.Fidelities())
 		}
-		if sp.Family != "scale" {
-			return fmt.Errorf("serve: family %q has no fidelity dimension; the fidelity knob applies to scale only", sp.Family)
+		if !fam.HasFidelity {
+			return fmt.Errorf("serve: family %q has no fidelity dimension", sp.Family)
 		}
 	}
-	if sp.Faults != nil && sp.Family != "faults" {
+	if sp.Faults != nil && !fam.TakesFaults {
 		return fmt.Errorf("serve: family %q does not accept a fault scenario", sp.Family)
 	}
 	return nil

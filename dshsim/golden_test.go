@@ -39,24 +39,36 @@ import (
 // execute.<family>.json beside the digests, so a mismatch names the first
 // line that differs instead of only a hash.
 //
-// `go test -run TestGolden -update ./dshsim/` rewrites the digests of the
+// `go test ./dshsim/ -run TestGolden -update` rewrites the digests of the
 // cases that ran (so -short -update leaves the heavy ones untouched). A
 // regenerated digest is a changed output: name it and say why in
 // CHANGES.md.
 
 var update = flag.Bool("update", false, "rewrite the testdata/golden digests from this build")
 
-// goldenHeavy are the families that take 10 s or more at reduced scale;
-// -short skips them. CI runs the full corpus in its golden leg.
-var goldenHeavy = map[string]bool{
-	"fig5": true, "fig12": true, "fig14": true, "fig15": true, "faults": true,
+// goldenCost is the wall time of one case of each heavy family at reduced
+// scale on a 2-vCPU host, the slower of its two engines rounded up. -short
+// skips these families; every other case takes a few seconds at most.
+var goldenCost = map[string]time.Duration{
+	"fig15": 95 * time.Second, "fig14": 80 * time.Second, "faults": 50 * time.Second,
+	"fig5": 25 * time.Second, "fig12": 20 * time.Second,
 }
 
-// goldenReserve is the time left before the test binary's deadline below
-// which heavy cases are skipped, so the corpus cannot push the whole
-// package past the default 10-min -timeout of a plain `go test ./...`.
-// `make golden` and the CI golden leg pass a long -timeout and never skip.
-const goldenReserve = 2 * time.Minute
+// goldenReserve is the time a heavy case needs left before the test
+// binary's deadline to start: twice its cost, scaled by how much slower
+// than goldenCost the heavy cases have run so far in this binary. A case
+// that would start later is skipped, so the corpus cannot push the whole
+// package past the 10-min default -timeout of a plain `go test ./...`.
+// The cases run light first, then heavy most expensive first, so the
+// cases nearest the deadline are the cheapest to fit. `make golden` and
+// the CI golden leg pass a long -timeout and never skip.
+func goldenReserve(cost, spent, planned time.Duration) time.Duration {
+	reserve := 2 * cost
+	if spent > planned {
+		reserve = time.Duration(float64(reserve) * float64(spent) / float64(planned))
+	}
+	return reserve
+}
 
 const goldenCodeVersion = "golden"
 
@@ -67,13 +79,13 @@ var goldenBodies = map[string]bool{"fig4": true, "theorem": true}
 func TestGolden(t *testing.T) {
 	type goldenCase struct {
 		set, name string
-		heavy     bool
+		cost      time.Duration // zero for a light case
 		produce   func() ([]byte, error)
 	}
 	var tests []goldenCase
 	for _, fam := range dshsim.Families() {
 		tests = append(tests, goldenCase{
-			set: "execute", name: fam, heavy: goldenHeavy[fam],
+			set: "execute", name: fam, cost: goldenCost[fam],
 			produce: func() ([]byte, error) {
 				return serve.Execute(serve.Spec{Family: fam, Seed: 1}, goldenCodeVersion, nil)
 			},
@@ -81,7 +93,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, fam := range dshsim.Families() {
 		tests = append(tests, goldenCase{
-			set: "rows_lp4", name: fam, heavy: goldenHeavy[fam],
+			set: "rows_lp4", name: fam, cost: goldenCost[fam],
 			produce: func() ([]byte, error) {
 				rows, err := dshsim.RunFamily(fam, dshsim.ExpOptions{Seed: 1, LPWorkers: 4}, nil)
 				if err != nil {
@@ -108,15 +120,26 @@ func TestGolden(t *testing.T) {
 			sets[tt.set] = readGolden(t, tt.set)
 		}
 	}
+	sort.SliceStable(tests, func(i, j int) bool {
+		ci, cj := tests[i].cost, tests[j].cost
+		if (ci == 0) != (cj == 0) {
+			return ci == 0
+		}
+		return ci > cj
+	})
+	var spent, planned time.Duration // heavy cases so far: wall time, goldenCost
 	for _, tt := range tests {
 		t.Run(tt.set+"/"+tt.name, func(t *testing.T) {
-			if tt.heavy {
+			if tt.cost > 0 {
 				if testing.Short() {
 					t.Skip("heavy family; runs without -short")
 				}
-				if dl, ok := t.Deadline(); ok && time.Until(dl) < goldenReserve {
-					t.Skipf("heavy family and under %v to the test deadline; `make golden` runs it", goldenReserve)
+				reserve := goldenReserve(tt.cost, spent, planned)
+				if dl, ok := t.Deadline(); ok && time.Until(dl) < reserve {
+					t.Skipf("heavy family and under %v to the test deadline; `make golden` runs it", reserve)
 				}
+				start := time.Now()
+				defer func() { spent, planned = spent+time.Since(start), planned+tt.cost }()
 			}
 			out, err := tt.produce()
 			if err != nil {

@@ -126,8 +126,17 @@ func TestLPFig15Equivalence(t *testing.T) {
 		t.Skip("multi-ms macro sweep")
 	}
 	so, po := tinyLP(15)
-	serial := Fig15(so)
+	// Both sides at once: the serial side holds one core for as long as
+	// the parallel side runs, so back to back they would leave a core idle
+	// for half of the package's slowest internal test.
+	var serial []Fig15Row
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serial = Fig15(so)
+	}()
 	parallel := Fig15(po)
+	<-done
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("fig15 rows differ between LPWorkers:1 and LPWorkers:4:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)

@@ -190,11 +190,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dshbench: -json takes a single experiment family, not 'all'")
 		os.Exit(2)
 	}
-	// Read the scenario before any family runs: a bad path must not surface
-	// only after hours of other families under `all`.
+	// Read and check the scenario before any family runs: a bad path or an
+	// event the fabric cannot host must not surface only after hours of
+	// other families under `all`.
 	var scenario *dshsim.FaultScenario
 	if *faultsSpec != "" {
 		sc, err := dshsim.ParseFaultScenario(*faultsSpec)
+		if err == nil {
+			err = dshsim.ValidateFaults(dshsim.ExpOptions{Full: *full}, &sc)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dshbench: faults: %v\n", err)
 			os.Exit(1)
@@ -307,13 +311,6 @@ func runBenchDiff(oldPath, newPath string, tol float64, strict bool) (bool, erro
 		// committed baseline in the same change.
 		for _, name := range benchkit.MissingFromNew(lines) {
 			fmt.Printf("strict: kernel %s is in the baseline but missing from the candidate report — its budgets are no longer enforced\n", name)
-			ok = false
-		}
-		// Encode sizes are deterministic, so any growth against the baseline
-		// is a real format regression — no tolerance, same severity as a
-		// budget violation.
-		for _, l := range benchkit.EncodedGrowth(lines) {
-			fmt.Printf("strict: kernel %s encoded output grew from %.0f to %.0f bytes\n", l.Name, l.OldEncoded, l.NewEncoded)
 			ok = false
 		}
 		// A single-core runner cannot measure parallel speedup, so the

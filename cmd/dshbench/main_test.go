@@ -139,25 +139,40 @@ func writeDigests(t *testing.T, digests map[string]string) {
 }
 
 // TestBadInvocations pins the exit status of rejected command lines. A
-// missing scenario file is read before any family runs, so `all` fails at
-// once with nothing on stdout instead of after every family before faults.
+// scenario file is read and checked against the fabric before any family
+// runs, so `all` fails at once with nothing on stdout instead of after
+// every family before faults. The golden scenario addresses the switch
+// ports of a different fabric (node 8 is a host here): it is rejected with
+// one error line naming the event, not a panic inside a sweep job.
 func TestBadInvocations(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
+	const golden = "../../internal/fault/testdata/scenario.golden.json"
+	const goldenErr = `event 0 (link-flap): host 8 has only port 0`
 	for _, tc := range []struct {
-		args []string
-		code int
+		args    []string
+		code    int
+		errLine string // when set, stderr must be exactly one line containing it
 	}{
-		{[]string{"-quiet", "-faults", missing, "all"}, 1},
-		{[]string{"-quiet", "-faults", missing, "fig4"}, 2},
-		{[]string{"-quiet", "-fidelity", "flow", "fig4"}, 2},
-		{[]string{"-quiet", "-fidelity", "bogus", "all"}, 2},
-		{[]string{"-quiet", "-json", "all"}, 2},
-		{[]string{"-quiet", "fig99"}, 2},
+		{[]string{"-quiet", "-faults", missing, "all"}, 1, ""},
+		{[]string{"-quiet", "-faults", missing, "fig4"}, 2, ""},
+		{[]string{"-quiet", "-faults", golden, "faults"}, 1, goldenErr},
+		{[]string{"-quiet", "-faults", golden, "all"}, 1, goldenErr},
+		{[]string{"-quiet", "-fidelity", "flow", "fig4"}, 2, ""},
+		{[]string{"-quiet", "-fidelity", "bogus", "all"}, 2, ""},
+		{[]string{"-quiet", "-json", "all"}, 2, ""},
+		{[]string{"-quiet", "fig99"}, 2, ""},
 	} {
 		stdout, stderr, code := dshbench(t, tc.args...)
 		if code != tc.code || len(stdout) != 0 {
 			t.Errorf("dshbench %v: exit %d with %d stdout bytes, want exit %d and no stdout; stderr:\n%s",
 				tc.args, code, len(stdout), tc.code, stderr)
+		}
+		if tc.errLine == "" {
+			continue
+		}
+		lines := strings.Split(strings.TrimSuffix(string(stderr), "\n"), "\n")
+		if len(lines) != 1 || !strings.Contains(lines[0], tc.errLine) || bytes.Contains(stderr, []byte("goroutine")) {
+			t.Errorf("dshbench %v: stderr %q, want one line containing %q", tc.args, stderr, tc.errLine)
 		}
 	}
 }

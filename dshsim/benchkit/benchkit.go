@@ -15,8 +15,6 @@
 package benchkit
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"testing"
 
@@ -129,85 +127,6 @@ func ForwardingTrace(b *testing.B) {
 	}
 	b.ReportMetric(float64(net.Sim.Processed())/float64(b.N), "events/op")
 	b.ReportMetric(float64(net.Sim.HeapMax()), "heap_max")
-}
-
-// benchSeries builds the deterministic synthetic per-run series the encode
-// kernel pair serializes: 4 tags × 2048 flow records plus a 512-bin pause
-// series, with value ranges matching real runs (µs-scale FCTs, KB–MB
-// flows) so the JSON digit counts — and thus the size comparison — are
-// representative.
-func benchSeries() *wire.RunSeries {
-	s := &wire.RunSeries{
-		Label:      "bench/encode",
-		PauseBinPs: int64(10 * units.Microsecond),
-	}
-	rng := uint64(1)
-	next := func(mod int64) int64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int64(rng>>33) % mod
-	}
-	for t := 0; t < 4; t++ {
-		fct := make([]int64, 2048)
-		size := make([]int64, 2048)
-		for i := range fct {
-			fct[i] = int64(units.Microsecond) + next(int64(500*units.Microsecond))
-			size[i] = 1024 + next(int64(4*units.MB))
-		}
-		s.Tags = append(s.Tags, fmt.Sprintf("tag%d", t))
-		s.FCTPs = append(s.FCTPs, fct)
-		s.SizeB = append(s.SizeB, size)
-	}
-	s.PausePs = make([]int64, 512)
-	for i := range s.PausePs {
-		s.PausePs[i] = next(int64(units.Millisecond))
-	}
-	return s
-}
-
-// ResultEncodeJSON measures the reference result encoding: one
-// json.MarshalIndent of the synthetic run series per op, the way results
-// were serialized before the wire format. Its "encoded_bytes" metric is
-// the denominator of the wire_bytes_ratio size comparison.
-func ResultEncodeJSON(b *testing.B) {
-	s := benchSeries()
-	var n int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doc, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(doc)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(n), "encoded_bytes")
-}
-
-// ResultEncodeWire measures the packed twin: one AppendRunSeries of the
-// same series into a reused buffer per op. The 0 allocs/op budget holds
-// because the buffer is pre-warmed once; deriveWire turns the pair into
-// wire_speedup (≥5× floor) and wire_bytes_ratio (≤0.5 budget).
-func ResultEncodeWire(b *testing.B) {
-	s := benchSeries()
-	buf, err := wire.AppendRunSeries(nil, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	size := len(buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err = wire.AppendRunSeries(buf[:0], s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if len(buf) != size {
-		b.Fatalf("encode size changed between ops: %d then %d", size, len(buf))
-	}
-	b.ReportMetric(float64(size), "encoded_bytes")
 }
 
 // Incast measures a complete 16:1 incast run (64 KB per sender, drained),

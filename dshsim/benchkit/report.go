@@ -10,26 +10,9 @@ import (
 )
 
 // SchemaVersion identifies the report layout. Bump only on breaking field
-// changes; tooling that trends BENCH_PR<n>.json files across PRs keys on it.
-// v2 added events_processed / heap_max and their budgets; v3 added num_cpu
-// and the lp_workers / lp_speedup fields of the intra-run parallelism
-// kernels; v4 added lp_overhead_ratio, epochs, and lp_balance for the
-// pairwise-lookahead engine plus the fat-tree kernel pair; v5 added
-// fidelity, fidelity_speedup, fct_p50/p99, and fct_err_p50/p99 for the
-// flow-level fast-forwarding kernel pair; v6 added encoded_bytes,
-// wire_speedup, and wire_bytes_ratio for the JSON/wire result-encode pair.
+// changes; ReadReport accepts this version only, and the trajectory of
+// older reports is a table in EXPERIMENTS.md.
 const SchemaVersion = "dsh-bench/v6"
-
-// schemaV5 … schemaV1 are previous layouts, still accepted by ReadReport so
-// bench-diff can compare against older baselines (absent fields read back
-// as zero).
-const (
-	schemaV5 = "dsh-bench/v5"
-	schemaV4 = "dsh-bench/v4"
-	schemaV3 = "dsh-bench/v3"
-	schemaV2 = "dsh-bench/v2"
-	schemaV1 = "dsh-bench/v1"
-)
 
 // BenchResult is one benchmark's measurement.
 type BenchResult struct {
@@ -40,7 +23,7 @@ type BenchResult struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	// EventsProcessed is the simulator events executed per op (the kernel's
 	// "events/op" metric); HeapMax is the event heap's high-water mark.
-	// Zero means the kernel did not report the counter (pre-v2 reports).
+	// Zero means the kernel did not report the counter.
 	EventsProcessed float64 `json:"events_processed"`
 	HeapMax         float64 `json:"heap_max"`
 	// AllocBudget is the checked-in allocation ceiling for this kernel
@@ -97,43 +80,24 @@ type BenchResult struct {
 	FctErrP99       *float64 `json:"fct_err_p99,omitempty"`
 	FctErrP50Budget *float64 `json:"fct_err_p50_budget,omitempty"`
 	FctErrP99Budget *float64 `json:"fct_err_p99_budget,omitempty"`
-	// EncodedBytes (v6) is the output size of one encode of the kernel's
-	// document (the "encoded_bytes" metric; zero for non-encode kernels).
-	// WireSpeedup, set on the wire kernel of the JSON/wire encode pair, is
-	// JSON ns/op divided by wire ns/op; WireBytesRatio is wire bytes over
-	// JSON bytes. Both kernels are serial, so — like fidelity_speedup and
-	// unlike lp_speedup — the ≥5× speedup floor and the ≤0.5 size ceiling
-	// are enforced on any host, and bench-diff -strict re-validates them
-	// so an encode-size regression fails exactly like an alloc regression.
-	EncodedBytes         float64  `json:"encoded_bytes,omitempty"`
-	WireSpeedup          *float64 `json:"wire_speedup,omitempty"`
-	WireSpeedupBudget    *float64 `json:"wire_speedup_budget,omitempty"`
-	WireBytesRatio       *float64 `json:"wire_bytes_ratio,omitempty"`
-	WireBytesRatioBudget *float64 `json:"wire_bytes_ratio_budget,omitempty"`
 }
 
 // allocBudgets are the checked-in allocs/op ceilings enforced by Validate.
 // The steady-state kernels must stay allocation-free; the macro kernels'
 // ceilings sit at 10% of their PR 2 measurements — comfortably above the
-// PR 4 numbers (174 and 2883, see BENCH_PR4.json) so noise does not flake
-// CI, while a real regression (a map, closure, or per-flow allocation
-// creeping back onto the hot path) still fails.
+// PR 4 numbers (174 and 2883; EXPERIMENTS.md bench trajectory) so noise
+// does not flake CI, while a real regression (a map, closure, or per-flow
+// allocation creeping back onto the hot path) still fails.
 var allocBudgets = map[string]float64{
 	"EventEngine": 0,
 	"Forwarding":  0,
 	// The capture-enabled twin must match: packing a departure into the
 	// trace writer's scratch buffer allocates nothing (the tentpole gate).
 	"ForwardingTrace": 0,
-	// The packed encoder reuses its caller's buffer; the JSON reference
-	// kernel measures 2 allocs/op (encoder-state pooling and buffer growth
-	// amortize the rest) — the ceiling leaves 4× slack for pool variance
-	// across iteration counts.
-	"ResultEncodeWire": 0,
-	"ResultEncodeJSON": 8,
-	"Incast":           199,  // PR 2 baseline 1989; ≥10× cut enforced
-	"Fig11":            6471, // PR 2 baseline 64712; ≥10× cut enforced
-	"Fig11Point":       290,  // measured 260 (PR 5): one full-scale point
-	"Fig11PointLP4":    1700, // measured 1498 (PR 5): 33 LP sims + mailbox storage
+	"Incast":          199,  // PR 2 baseline 1989; ≥10× cut enforced
+	"Fig11":           6471, // PR 2 baseline 64712; ≥10× cut enforced
+	"Fig11Point":      290,  // measured 260 (PR 5): one full-scale point
+	"Fig11PointLP4":   1700, // measured 1498 (PR 5): 33 LP sims + mailbox storage
 	// The fat-tree pair builds a 1024-host fabric and ~16k flows per op, so
 	// the ceilings are per-op construction costs, not steady-state leaks.
 	"FatTreePoint":    72_000,  // measured 65,331 (PR 8)
@@ -236,20 +200,6 @@ var fidelityPairs = [][2]string{
 
 var fidelitySpeedupFloor = 50.0
 
-// wirePairs lists the JSON/wire result-encode kernel pairs (JSON first)
-// that deriveWire annotates. Both floors are the PR 10 acceptance targets
-// for the binary wire format, and — both kernels being serial — are
-// enforced on any host: the packed encoder must run ≥5× faster than
-// json.MarshalIndent and emit at most half the bytes.
-var wirePairs = [][2]string{
-	{"ResultEncodeJSON", "ResultEncodeWire"},
-}
-
-var (
-	wireSpeedupFloor     = 5.0
-	wireBytesRatioBudget = 0.5
-)
-
 // fctErrP50Budget / fctErrP99Budget bound the flow kernel's FCT-percentile
 // error magnitude against its packet twin — the documented flow-fidelity
 // accuracy budgets (DESIGN.md §13). The fluid model is a lower-bound-ish
@@ -274,8 +224,6 @@ func defaultKernels() []kernel {
 		{"EventEngine", EventEngine},
 		{"Forwarding", Forwarding},
 		{"ForwardingTrace", ForwardingTrace},
-		{"ResultEncodeJSON", ResultEncodeJSON},
-		{"ResultEncodeWire", ResultEncodeWire},
 		{"Incast", Incast},
 		{"Fig11Point", Fig11Point},
 		{"Fig11PointLP4", Fig11PointLP4},
@@ -314,7 +262,6 @@ func collect(kernels []kernel) Report {
 			LPBalance:       r.Extra["lp_balance"],
 			FctP50:          r.Extra["fct_p50"],
 			FctP99:          r.Extra["fct_p99"],
-			EncodedBytes:    r.Extra["encoded_bytes"],
 		}
 		if budget, ok := allocBudgets[k.name]; ok {
 			br.AllocBudget = &budget
@@ -329,7 +276,6 @@ func collect(kernels []kernel) Report {
 	}
 	deriveSpeedup(&rep)
 	deriveFidelity(&rep)
-	deriveWire(&rep)
 	return rep
 }
 
@@ -386,32 +332,6 @@ func deriveFidelity(rep *Report) {
 			b50, b99 := fctErrP50Budget, fctErrP99Budget
 			flow.FctErrP50, flow.FctErrP99 = &e50, &e99
 			flow.FctErrP50Budget, flow.FctErrP99Budget = &b50, &b99
-		}
-	}
-}
-
-// deriveWire annotates the wire kernel of each JSON/wire encode pair with
-// wire_speedup (JSON ns/op ÷ wire ns/op), wire_bytes_ratio (wire bytes ÷
-// JSON bytes), and their always-enforced budgets.
-func deriveWire(rep *Report) {
-	byName := make(map[string]*BenchResult, len(rep.Benchmarks))
-	for i := range rep.Benchmarks {
-		byName[rep.Benchmarks[i].Name] = &rep.Benchmarks[i]
-	}
-	for _, pair := range wirePairs {
-		jsonK, wireK := byName[pair[0]], byName[pair[1]]
-		if jsonK == nil || wireK == nil || jsonK.NsPerOp <= 0 || wireK.NsPerOp <= 0 {
-			continue
-		}
-		sp := jsonK.NsPerOp / wireK.NsPerOp
-		wireK.WireSpeedup = &sp
-		floor := wireSpeedupFloor
-		wireK.WireSpeedupBudget = &floor
-		if jsonK.EncodedBytes > 0 && wireK.EncodedBytes > 0 {
-			ratio := wireK.EncodedBytes / jsonK.EncodedBytes
-			wireK.WireBytesRatio = &ratio
-			budget := wireBytesRatioBudget
-			wireK.WireBytesRatioBudget = &budget
 		}
 	}
 }
@@ -512,27 +432,6 @@ func (r Report) Validate() error {
 					b.Name, *b.FctErrP50, *b.FctErrP50Budget)
 			}
 		}
-		if b.EncodedBytes < 0 {
-			return fmt.Errorf("benchmark %s: negative encoded_bytes", b.Name)
-		}
-		if b.WireSpeedupBudget != nil {
-			if b.WireSpeedup == nil {
-				return fmt.Errorf("benchmark %s: wire_speedup_budget set without wire_speedup", b.Name)
-			}
-			if *b.WireSpeedup < *b.WireSpeedupBudget {
-				return fmt.Errorf("benchmark %s: wire_speedup %.1f below the %.0fx floor — the packed encoder stopped beating json.MarshalIndent (an allocation or copy crept into AppendRunSeries?)",
-					b.Name, *b.WireSpeedup, *b.WireSpeedupBudget)
-			}
-		}
-		if b.WireBytesRatioBudget != nil {
-			if b.WireBytesRatio == nil {
-				return fmt.Errorf("benchmark %s: wire_bytes_ratio_budget set without wire_bytes_ratio", b.Name)
-			}
-			if *b.WireBytesRatio > *b.WireBytesRatioBudget {
-				return fmt.Errorf("benchmark %s: wire_bytes_ratio %.3f exceeds the %.2f ceiling — the packed encoding grew past half the JSON size (fixed-width fields where uvarints belong?)",
-					b.Name, *b.WireBytesRatio, *b.WireBytesRatioBudget)
-			}
-		}
 		if b.FctErrP99Budget != nil {
 			if b.FctErrP99 == nil {
 				return fmt.Errorf("benchmark %s: fct_err_p99_budget set without fct_err_p99", b.Name)
@@ -557,18 +456,15 @@ func (r Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport decodes a report for comparison. It accepts the current schema
-// plus v5 through v1 (whose newer fields read back as zero), so bench-diff
-// can baseline against reports emitted before the counters, the LP kernels,
-// or the fidelity kernels existed.
+// only: the committed baselines are all v6, and older trajectory points
+// live as a table in EXPERIMENTS.md.
 func ReadReport(rd io.Reader) (Report, error) {
 	var r Report
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
 		return Report{}, fmt.Errorf("benchkit: parsing report: %w", err)
 	}
-	switch r.Schema {
-	case SchemaVersion, schemaV5, schemaV4, schemaV3, schemaV2, schemaV1:
-	default:
-		return Report{}, fmt.Errorf("benchkit: unsupported schema %q", r.Schema)
+	if r.Schema != SchemaVersion {
+		return Report{}, fmt.Errorf("benchkit: unsupported schema %q, want %q", r.Schema, SchemaVersion)
 	}
 	if len(r.Benchmarks) == 0 {
 		return Report{}, fmt.Errorf("benchkit: report has no benchmarks")

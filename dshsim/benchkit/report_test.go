@@ -3,6 +3,7 @@ package benchkit
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -207,18 +208,49 @@ func TestUngatedNotes(t *testing.T) {
 	}
 }
 
-// TestReadReportAcceptsOldSchemas keeps bench-diff working against the
-// committed pre-v5 baselines (BENCH_PR5.json is v3, BENCH_PR8.json is v4).
-func TestReadReportAcceptsOldSchemas(t *testing.T) {
-	for _, schema := range []string{"dsh-bench/v3", "dsh-bench/v4"} {
-		doc := `{"schema":"` + schema + `","go_version":"go","goos":"linux","goarch":"amd64",` +
+// TestReadReportAcceptsCurrentSchemaOnly pins that bench-diff reads the
+// one schema the committed baselines use and rejects the retired ones.
+func TestReadReportAcceptsCurrentSchemaOnly(t *testing.T) {
+	doc := func(schema string) string {
+		return `{"schema":"` + schema + `","go_version":"go","goos":"linux","goarch":"amd64",` +
 			`"num_cpu":1,"benchmarks":[{"name":"Fast","iterations":1,"ns_per_op":1}]}`
-		r, err := ReadReport(strings.NewReader(doc))
-		if err != nil {
-			t.Fatalf("ReadReport rejected a %s baseline: %v", schema, err)
-		}
-		if r.Benchmarks[0].Name != "Fast" {
-			t.Fatalf("bad decode: %+v", r)
+	}
+	r, err := ReadReport(strings.NewReader(doc(SchemaVersion)))
+	if err != nil {
+		t.Fatalf("ReadReport rejected a %s report: %v", SchemaVersion, err)
+	}
+	if r.Benchmarks[0].Name != "Fast" {
+		t.Fatalf("bad decode: %+v", r)
+	}
+	if _, err := ReadReport(strings.NewReader(doc("dsh-bench/v5"))); err == nil {
+		t.Fatal("ReadReport accepted a retired dsh-bench/v5 report")
+	}
+}
+
+// ciBaseline is the committed report CI's bench-smoke leg diffs against.
+const ciBaseline = "../../BENCH_PR20.json"
+
+// TestCIBaselineKernelsExist fails when the committed CI baseline names a
+// kernel the suite no longer runs: bench-diff -strict would reject every
+// candidate report for the missing kernel, so deleting a kernel must
+// refresh the baseline in the same change.
+func TestCIBaselineKernelsExist(t *testing.T) {
+	f, err := os.Open(ciBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := ReadReport(f)
+	if err != nil {
+		t.Fatalf("%s: %v", ciBaseline, err)
+	}
+	suite := make(map[string]bool)
+	for _, k := range defaultKernels() {
+		suite[k.name] = true
+	}
+	for _, b := range base.Benchmarks {
+		if !suite[b.Name] {
+			t.Errorf("%s names kernel %s, which defaultKernels no longer runs — refresh the baseline", ciBaseline, b.Name)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dsh/internal/metrics"
 	"dsh/internal/workload"
 	"dsh/units"
 )
@@ -67,19 +66,16 @@ func TestRandomNetworksEndToEnd(t *testing.T) {
 			t.Errorf("seed %d: conservation violated: sent %d, received %d", seed, totalPayload, received)
 		}
 		// All switch buffers must have drained.
-		snap := metrics.SnapshotOccupancy(ls.Network)
-		if snap.SharedUsed != 0 || snap.HeadroomUsed != 0 {
+		if shared, headroom := residualOccupancy(ls.Network); shared != 0 || headroom != 0 {
 			t.Errorf("seed %d: residual buffer occupancy: shared=%d headroom=%d",
-				seed, snap.SharedUsed, snap.HeadroomUsed)
+				seed, shared, headroom)
 		}
 		// No port may be left paused after everything drained.
-		sum := metrics.CollectPauses(ls.Network)
 		for _, h := range ls.Hosts {
 			if h.Port().PortPaused() {
 				t.Errorf("seed %d: host port still paused at end", seed)
 			}
 		}
-		_ = sum
 	}
 }
 
@@ -94,7 +90,7 @@ func TestPausesAccountedOnlyWhereGenerated(t *testing.T) {
 	if res.PauseFrames == 0 {
 		t.Fatal("setup: expected pauses")
 	}
-	sum := metrics.CollectPauses(net)
+	sum := collectPauses(net)
 	if sum.HostClassPaused == 0 {
 		t.Error("host pause time not accounted")
 	}

@@ -117,6 +117,21 @@ func Faults(opt ExpOptions, sc *FaultScenario) []FaultsRow {
 	return rows
 }
 
+// ValidateFaults checks sc against the leaf–spine fabric the faults family
+// builds at opt's scale, so a scenario addressing a node or port that
+// fabric lacks is an error before any job starts, not a panic inside one.
+// SIH and DSH share the fabric's node and port layout, so one classic-engine
+// build covers both. A nil sc is valid and builds nothing.
+func ValidateFaults(opt ExpOptions, sc *FaultScenario) error {
+	if sc == nil {
+		return nil
+	}
+	fp := fabric(opt)
+	opt.LPWorkers = 0
+	ls := NewLeafSpine(evalNetConfig(opt, SIH, TransportDCQCN, 0), fp.leaves, fp.spines, fp.hostsPerLeaf, fp.rate, fp.rate)
+	return sc.Validate(ls.Network)
+}
+
 func runFaultsRow(opt ExpOptions, class faultClass, scheme Scheme, seed int64) FaultsRow {
 	fp := fabric(opt)
 	nc := evalNetConfig(opt, scheme, TransportDCQCN, seed)

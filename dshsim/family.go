@@ -112,6 +112,9 @@ func RunFamily(name string, opt ExpOptions, faults *FaultScenario) (any, error) 
 	if faults != nil && !f.TakesFaults {
 		return nil, fmt.Errorf("dshsim: family %q does not accept a fault scenario", name)
 	}
+	if err := ValidateFaults(opt, faults); err != nil {
+		return nil, err
+	}
 	if opt.Fidelity != "" && !f.HasFidelity {
 		return nil, fmt.Errorf("dshsim: family %q has no fidelity dimension", name)
 	}

@@ -1,8 +1,8 @@
 // Package metrics collects the measurements the paper reports: flow
-// completion times (means and percentiles per traffic category), PFC pause
-// durations, headroom-utilization local maxima (Fig. 6), per-flow
-// throughput time series (Fig. 13), and deadlock onset detection over the
-// pause wait-for graph (Fig. 12).
+// completion times (means and percentiles per traffic category),
+// headroom-utilization local maxima (Fig. 6), per-flow throughput time
+// series (Fig. 13), and deadlock onset detection over the pause wait-for
+// graph (Fig. 12).
 package metrics
 
 import (

@@ -6,12 +6,11 @@
 // ports on equal-cost shortest paths; a per-flow hash picks one, so all
 // packets of a flow follow a single path (in-order delivery).
 //
-// Two representations exist. ComputeECMP builds map-based Tables — the
-// readable oracle used by tests. ComputeFlat builds the FlatTable the
-// simulation actually forwards through: one contiguous next-hop arena for
-// the whole network, indexed by (node, destination host), so the per-packet
-// Route is two array loads plus a hash instead of a map lookup. Both are
-// derived from the same BFS and agree port-for-port (see the property test).
+// ComputeFlat builds the FlatTable the simulation forwards through: one
+// contiguous next-hop arena for the whole network, indexed by (node,
+// destination host), so the per-packet Route is two array loads plus a hash
+// instead of a map lookup. The tests keep a map-backed oracle derived from
+// the same BFS (oracle_test.go), and the two agree port-for-port.
 package routing
 
 import (
@@ -29,29 +28,6 @@ type Link struct {
 	FromPort int
 	// Up marks the link usable; failed links are excluded from routes.
 	Up bool
-}
-
-// Table is one node's forwarding table (map-based oracle representation).
-type Table struct {
-	// next[dst] lists candidate egress ports, sorted for determinism.
-	next map[int][]int
-}
-
-// NextHops returns the ECMP port set toward dst (nil if unreachable).
-func (t *Table) NextHops(dst int) []int { return t.next[dst] }
-
-// Route implements the switchdev.Route signature: it hashes the flow ID
-// over the equal-cost port set.
-func (t *Table) Route(pkt *packet.Packet, _ int) int {
-	ports := t.next[pkt.Dst]
-	switch len(ports) {
-	case 0:
-		panic(fmt.Sprintf("routing: no route to host %d", pkt.Dst))
-	case 1:
-		return ports[0]
-	default:
-		return ports[ecmpHash(pkt.FlowID)%uint64(len(ports))]
-	}
 }
 
 // ecmpHash is a splitmix64 finalizer: cheap, deterministic, well-mixed.
@@ -135,43 +111,6 @@ func bfsDist(c csr, dst int, dist []int32, queue []int32) {
 	}
 }
 
-// ComputeECMP builds route tables for every node. hosts lists the node IDs
-// that are traffic endpoints; numNodes bounds the ID space. Only links with
-// Up=true participate. The result is indexed by node ID; host tables
-// contain their single uplink toward every destination.
-func ComputeECMP(numNodes int, links []Link, hosts []int) []*Table {
-	c := adjacency(numNodes, links)
-
-	tables := make([]*Table, numNodes)
-	for n := 0; n < numNodes; n++ {
-		tables[n] = &Table{next: make(map[int][]int)}
-	}
-
-	// One reverse BFS per destination host yields each node's distance to
-	// it; next hops are neighbours one step closer.
-	dist := make([]int32, numNodes)
-	queue := make([]int32, 0, numNodes)
-	for _, dst := range hosts {
-		bfsDist(c, dst, dist, queue)
-		for n := 0; n < numNodes; n++ {
-			if n == dst || dist[n] < 0 {
-				continue
-			}
-			var ports []int
-			for i := c.off[n]; i < c.off[n+1]; i++ {
-				if dist[c.to[i]] == dist[n]-1 {
-					ports = append(ports, int(c.port[i]))
-				}
-			}
-			sort.Ints(ports)
-			if len(ports) > 0 {
-				tables[n].next[dst] = ports
-			}
-		}
-	}
-	return tables
-}
-
 // Flat head words pack (offset, count) of a node's ECMP port group in the
 // shared arena: offset in the high bits, count in the low 16.
 const (
@@ -198,8 +137,8 @@ type FlatTable struct {
 	arena []int32
 }
 
-// ComputeFlat builds the dense table over the up links; it is the
-// production counterpart of ComputeECMP and agrees with it exactly.
+// ComputeFlat builds the dense table over the up links; it agrees exactly
+// with the map-backed oracle the tests build (ComputeECMP).
 func ComputeFlat(numNodes int, links []Link, hosts []int) *FlatTable {
 	c := adjacency(numNodes, links)
 	ft := &FlatTable{

@@ -180,7 +180,14 @@ func TestSubmitRejects(t *testing.T) {
 			return stubResult(sp), nil
 		},
 	})
+	// The golden scenario addresses switch ports of another fabric (node 8
+	// is a host of the faults family's): rejected before it is queued.
+	golden, err := os.ReadFile("../fault/testdata/scenario.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, body := range []string{
+		`{"family":"faults","faults":` + string(golden) + `}`,
 		`{"family":`,
 		`{"family":"fig99"}`,
 		`{"family":"fig11","sheme":"DSH"}`,

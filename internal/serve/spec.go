@@ -137,6 +137,9 @@ func (sp Spec) Validate() error {
 	if sp.Faults != nil && !fam.TakesFaults {
 		return fmt.Errorf("serve: family %q does not accept a fault scenario", sp.Family)
 	}
+	if err := dshsim.ValidateFaults(dshsim.ExpOptions{Full: sp.Full}, sp.Faults); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	return nil
 }
 

@@ -104,7 +104,8 @@ func TestKeySemanticFieldsIncluded(t *testing.T) {
 		{"scheme/headroom-mode", Spec{Family: "faults", Seed: 1, Scheme: "DSH"}, testVersion},
 		{"faults-scenario", Spec{Family: "faults", Seed: 1,
 			Faults: &dshsim.FaultScenario{Name: "x", Events: []dshsim.FaultEvent{
-				{Kind: dshsim.FaultLinkFlap, At: units.Millisecond, Node: 1, Port: 2},
+				// Leaf 0's uplink to spine 0 in the reduced fabric.
+				{Kind: dshsim.FaultLinkFlap, At: units.Millisecond, Node: 32, Port: 8},
 			}}}, testVersion},
 		{"code-version", Spec{Family: "faults", Seed: 1}, "other-version"},
 	}

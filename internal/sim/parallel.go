@@ -790,14 +790,10 @@ func (s *Simulator) runWindow(limit units.Time) {
 		s.pop()
 		ev := top.ev
 		s.now = top.at
-		fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
+		act, arg, n := ev.act, ev.arg, ev.n
 		s.recycle(ev)
 		s.processed++
-		if fn != nil {
-			fn()
-		} else {
-			act.Run(arg, n)
-		}
+		act.Run(arg, n)
 	}
 }
 
@@ -807,14 +803,10 @@ func (s *Simulator) runOne() {
 	top := s.pop()
 	ev := top.ev
 	s.now = top.at
-	fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
+	act, arg, n := ev.act, ev.arg, ev.n
 	s.recycle(ev)
 	s.processed++
-	if fn != nil {
-		fn()
-	} else {
-		act.Run(arg, n)
-	}
+	act.Run(arg, n)
 }
 
 // advanceTo moves the clock forward to t without executing anything; a

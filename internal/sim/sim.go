@@ -33,6 +33,13 @@ type Action interface {
 	Run(arg any, n int64)
 }
 
+// funcAction adapts a closure to Action, so every event fires through one
+// callback form. A func value is pointer-shaped: boxing it allocates
+// nothing beyond the closure itself.
+type funcAction func()
+
+func (f funcAction) Run(any, int64) { f() }
+
 // Event is one pooled heap node. Events are owned by the simulator and are
 // recycled after they fire or their cancellation is reaped, so external
 // code refers to them through Timer handles, never *Event.
@@ -43,7 +50,6 @@ type Event struct {
 	cancelled bool
 	sim       *Simulator
 
-	fn  func()
 	act Action
 	arg any
 	n   int64
@@ -80,7 +86,6 @@ func (t Timer) At() units.Time {
 func (t Timer) Cancel() {
 	if t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled {
 		t.ev.cancelled = true
-		t.ev.fn = nil
 		t.ev.act = nil
 		t.ev.arg = nil
 		t.ev.sim.noteCancel()
@@ -163,7 +168,6 @@ func (s *Simulator) alloc() *Event {
 // free list.
 func (s *Simulator) recycle(ev *Event) {
 	ev.gen++
-	ev.fn = nil
 	ev.act = nil
 	ev.arg = nil
 	s.free = append(s.free, ev)
@@ -212,7 +216,7 @@ func (s *Simulator) At(t units.Time, fn func()) Timer {
 		panic("sim: nil event callback")
 	}
 	ev := s.enqueue(t)
-	ev.fn = fn
+	ev.act = funcAction(fn)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -274,14 +278,10 @@ func (s *Simulator) RunUntil(deadline units.Time) {
 		s.pop()
 		ev := top.ev
 		s.now = top.at
-		fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
+		act, arg, n := ev.act, ev.arg, ev.n
 		s.recycle(ev)
 		s.processed++
-		if fn != nil {
-			fn()
-		} else {
-			act.Run(arg, n)
-		}
+		act.Run(arg, n)
 	}
 	if deadline >= 0 && s.now < deadline && !s.stopped {
 		s.now = deadline
@@ -301,7 +301,6 @@ func (s *Simulator) Reset() {
 	for i := range s.heap {
 		ev := s.heap[i].ev
 		ev.gen++
-		ev.fn = nil
 		ev.act = nil
 		ev.arg = nil
 		s.heap[i] = heapEntry{}

@@ -15,7 +15,7 @@ import (
 //	off  size  field
 //	0    4     magic "DSHZ"
 //	4    2     version (uint16, currently 1)
-//	6    1     kind (BlockJSONTokens, BlockJSONRaw, BlockRunSeries)
+//	6    1     kind (BlockJSONTokens, BlockJSONRaw)
 //	7    1     reserved (must be zero)
 //	8    ...   kind-specific payload
 //
@@ -38,8 +38,6 @@ const (
 	// BlockJSONRaw is a canonical JSON document stored verbatim (the
 	// self-check fallback).
 	BlockJSONRaw = 2
-	// BlockRunSeries is a typed per-run series (see series.go).
-	BlockRunSeries = 3
 )
 
 // Container errors.

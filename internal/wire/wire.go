@@ -1,5 +1,5 @@
 // Package wire is the versioned packed binary layout for packets, traces,
-// and per-run series — the process boundary of the simulator. Everything in
+// and results — the process boundary of the simulator. Everything in
 // memory stays Go structs; everything that leaves the process (trace files,
 // binary result blocks, dshserve streaming bodies) goes through the
 // fixed-offset little-endian encodings defined here, packed and unpacked in
@@ -22,11 +22,10 @@
 //     yields frames with positioned errors (frame index + byte offset) on
 //     truncation or corruption.
 //
-//   - Result blocks (result.go, series.go): ".dshz" — a tagged container
-//     holding either a canonical-JSON document re-encoded as a token
-//     stream (byte-exact round trip, used by dshserve's ?format=wire) or a
-//     typed RunSeries (FCT distributions and pause-duration series) in
-//     packed varint columns.
+//   - Result blocks (result.go): ".dshz" — a tagged container of one of two
+//     kinds, both holding a canonical-JSON document: re-encoded as a token
+//     stream (byte-exact round trip, used by dshserve's ?format=wire) or,
+//     when the token stream fails its self-check, stored verbatim.
 //
 // Version negotiation: every artifact leads with a magic string and a
 // little-endian uint16 version. Readers accept exactly the versions they

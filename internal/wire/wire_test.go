@@ -531,66 +531,3 @@ func TestDecodeResultCorrupt(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSeriesRoundTrip(t *testing.T) {
-	s := &RunSeries{
-		Label:      "fig11/dsh/60",
-		Tags:       []string{"background", "fanin"},
-		FCTPs:      [][]int64{{1000, 2000, 3000}, {}},
-		SizeB:      [][]int64{{64, 128, 1 << 30}, {}},
-		PauseBinPs: int64(10 * units.Microsecond),
-		PausePs:    []int64{0, 5, 0, 1 << 40},
-	}
-	blk, err := AppendRunSeries(nil, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRunSeries(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(s)
-	gotJ, _ := json.Marshal(got)
-	if !bytes.Equal(want, gotJ) {
-		t.Fatalf("round trip:\n got %s\nwant %s", gotJ, want)
-	}
-	// Appending to a pre-sized buffer must not allocate.
-	dst := make([]byte, 0, len(blk))
-	allocs := testing.AllocsPerRun(100, func() {
-		dst, err = AppendRunSeries(dst[:0], s)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Fatalf("AppendRunSeries allocates %.1f per op with a pre-sized buffer", allocs)
-	}
-	// Every truncation errors, never panics.
-	for cut := 0; cut < len(blk); cut++ {
-		if _, err := DecodeRunSeries(blk[:cut]); err == nil {
-			t.Fatalf("truncated series at %d decoded", cut)
-		}
-	}
-	if _, err := DecodeRunSeries(append(append([]byte(nil), blk...), 7)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestRunSeriesRejects(t *testing.T) {
-	if _, err := AppendRunSeries(nil, &RunSeries{Tags: []string{"a"}}); err == nil {
-		t.Fatal("column count mismatch accepted")
-	}
-	if _, err := AppendRunSeries(nil, &RunSeries{
-		Tags: []string{"a"}, FCTPs: [][]int64{{1, 2}}, SizeB: [][]int64{{1}},
-	}); err == nil {
-		t.Fatal("ragged tag columns accepted")
-	}
-	if _, err := AppendRunSeries(nil, &RunSeries{PausePs: []int64{-1}}); !errors.Is(err, ErrSeriesRange) {
-		t.Fatalf("negative pause: got %v", err)
-	}
-	if _, err := AppendRunSeries(nil, &RunSeries{
-		Tags: []string{"a"}, FCTPs: [][]int64{{-5}}, SizeB: [][]int64{{1}},
-	}); !errors.Is(err, ErrSeriesRange) {
-		t.Fatal("negative FCT accepted")
-	}
-}

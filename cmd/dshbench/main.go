@@ -15,10 +15,10 @@
 //	           are identical for any value — see README "Running sweeps in
 //	           parallel")
 //	-lp-workers N  partition each simulation into logical processes and run
-//	           them on N workers (0 = classic single-heap engine; results
-//	           are identical for any N ≥ 1 — see DESIGN.md §9)
+//	           them on N workers (0 = no LPs, the classic engine; results
+//	           are identical for any N ≥ 1 — see DESIGN.md §8)
 //	-fidelity F    simulation granularity of a family with that dimension:
-//	           packet, flow, or hybrid — see DESIGN.md §13
+//	           packet, flow, or hybrid — see DESIGN.md §11
 //	-faults F  fault scenario JSON replacing a family's built-in fault
 //	           classes
 //	-quiet     suppress progress lines

@@ -202,7 +202,7 @@ var fidelitySpeedupFloor = 50.0
 
 // fctErrP50Budget / fctErrP99Budget bound the flow kernel's FCT-percentile
 // error magnitude against its packet twin — the documented flow-fidelity
-// accuracy budgets (DESIGN.md §13). The fluid model is a lower-bound-ish
+// accuracy budgets (DESIGN.md §11). The fluid model is a lower-bound-ish
 // approximation (it skips per-packet serialization jitter), so the tail
 // budget is looser than the median one.
 var (

@@ -91,8 +91,8 @@ type NetworkConfig struct {
 	// engine with this many workers. Results are deterministic and
 	// independent of the worker count; they follow the partitioned
 	// (at, lp, seq) event order, which can interleave same-timestamp events
-	// differently than a classic run (see DESIGN.md §9). Zero keeps the
-	// classic single-heap engine.
+	// differently than a classic run (see DESIGN.md §8). Zero opens no
+	// LPs: every device shares one heap, the classic engine.
 	LPWorkers int
 	// Faults attaches a fault script to every run on this network
 	// (RunConfig.Faults overrides it per run). Nil injects nothing and the
@@ -263,7 +263,7 @@ type RunConfig struct {
 	// granularity (see internal/flowsim); FidelityHybrid re-simulates flows
 	// crossing contended hotspots at packet granularity and fast-forwards
 	// the rest, stitching boundary flows in as rate-limited sources
-	// (DESIGN.md §13). Flow and hybrid fidelities reject fault scripts and
+	// (DESIGN.md §11). Flow and hybrid fidelities reject fault scripts and
 	// deadlock detection — those are packet-level phenomena.
 	Fidelity string
 }
@@ -356,7 +356,7 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 			panic("dshsim: trace capture requires the classic engine (build the network with LPWorkers == 0)")
 		}
 		// Global port IDs: hosts first in index order, then each switch's
-		// ports in switch/port order — the numbering DESIGN.md §14 pins.
+		// ports in switch/port order — the numbering DESIGN.md §12 pins.
 		id := int32(0)
 		for _, h := range net.Hosts {
 			h.Port().SetTracer(rc.Trace, id)
@@ -370,22 +370,17 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 		}
 	}
 
-	res := &Result{FCT: metrics.NewFCTCollector()}
-
-	// Completions are recorded per logical process: flow completion fires on
+	// Completions are recorded per device group: flow completion fires on
 	// the source host's LP (worker goroutines in a partitioned run), so each
-	// LP appends to its own collector and the results are merged in LP index
-	// order afterwards. A classic network is the single-LP case whose
-	// collector is res.FCT itself — no merge, identical record order.
+	// group appends to its own collector, and after the run the first
+	// collector absorbs the rest in group order. A classic network is the
+	// one-group case: no merge, records in completion order.
 	K := net.LPCount()
 	lpFCT := make([]*metrics.FCTCollector, K)
-	if K == 1 {
-		lpFCT[0] = res.FCT
-	} else {
-		for i := range lpFCT {
-			lpFCT[i] = metrics.NewFCTCollector()
-		}
+	for i := range lpFCT {
+		lpFCT[i] = metrics.NewFCTCollector()
 	}
+	res := &Result{FCT: lpFCT[0]}
 
 	// Intern every workload tag up front — into every collector, in the same
 	// spec order, so a flow's TagID indexes the same tag everywhere — and
@@ -398,11 +393,8 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 	}
 	tagCounts := make(map[lpTag]int)
 	for i, sp := range rc.Specs {
-		tagIDs[i] = res.FCT.Intern(sp.Tag)
-		if K > 1 {
-			for _, c := range lpFCT {
-				c.Intern(sp.Tag)
-			}
+		for _, c := range lpFCT {
+			tagIDs[i] = c.Intern(sp.Tag)
 		}
 		tagCounts[lpTag{net.LPOfNode(sp.Src), tagIDs[i]}]++
 	}
@@ -429,9 +421,6 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 	}
 	started := len(rc.Specs)
 	completed := func() int {
-		if K == 1 {
-			return res.FCT.Count("")
-		}
 		n := 0
 		for _, c := range lpFCT {
 			n += c.Count("")
@@ -469,7 +458,7 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 		det.Start()
 	}
 
-	net.RunUntil(rc.Duration)
+	net.Par.RunUntil(rc.Duration)
 	if rc.Drain {
 		deadline := rc.DrainCap
 		if deadline <= 0 {
@@ -480,13 +469,11 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 			step = units.Millisecond
 		}
 		for completed() < started && net.Sim.Now() < deadline {
-			net.RunUntil(net.Sim.Now() + step)
+			net.Par.RunUntil(net.Sim.Now() + step)
 		}
 	}
-	if K > 1 {
-		for _, c := range lpFCT {
-			res.FCT.Absorb(c)
-		}
+	for _, c := range lpFCT[1:] {
+		res.FCT.Absorb(c)
 	}
 	res.Drops = net.Drops()
 	for _, h := range net.Hosts {
@@ -498,10 +485,10 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 		}
 	}
 	res.Unfinished = started - res.FCT.Count("")
-	res.Events = net.Processed()
-	res.HeapMax = net.HeapMax()
-	res.Epochs = net.Epochs()
-	res.LPBalance = net.LPBalance()
+	res.Events = net.Par.Processed()
+	res.HeapMax = net.Par.HeapMax()
+	res.Epochs = net.Par.Epochs()
+	res.LPBalance = net.Par.LPBalance()
 	res.WireDrops = net.WireDrops()
 	if inj != nil {
 		res.Faults = inj.Stats()
@@ -514,7 +501,7 @@ func runPacket(net *Network, st *runState, rc RunConfig, rateCap []units.BitRate
 	// The run is over: clamp the simulators' pooled capacity so parked
 	// results of a long parallel sweep don't pin peak-load memory. The
 	// clocks survive, so post-Run pause accounting stays correct.
-	net.ResetSims()
+	net.Par.Reset()
 	return res
 }
 

@@ -1,7 +1,7 @@
 // Fidelity modes: packet (simulate everything), flow (fast-forward every
 // flow through internal/flowsim), and hybrid (packet-simulate only the
 // flows that cross contended hotspots, fast-forward the rest, and stitch
-// boundary flows in as rate-limited sources). See DESIGN.md §13.
+// boundary flows in as rate-limited sources). See DESIGN.md §11.
 package dshsim
 
 import (

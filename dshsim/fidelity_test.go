@@ -7,7 +7,7 @@ import (
 	"dsh/units"
 )
 
-// The documented fidelity error budgets (DESIGN.md §13), enforced here and
+// The documented fidelity error budgets (DESIGN.md §11), enforced here and
 // recorded per PR by the benchkit fidelity kernels. Flow fidelity is a
 // fluid approximation — it skips per-packet serialization jitter, so its
 // percentiles sit below the packet engine's and the tail budget is loose.

@@ -5,7 +5,6 @@ import (
 	"dsh/internal/fault"
 	"dsh/internal/metrics"
 	"dsh/internal/packet"
-	"dsh/internal/topology"
 	"dsh/internal/workload"
 	"dsh/units"
 )
@@ -15,17 +14,6 @@ type Class = packet.Class
 
 // NumClasses is the number of PFC priority classes per port.
 const NumClasses = packet.NumClasses
-
-// DeadlockDetector re-exports the cyclic-buffer-dependency detector used in
-// the Fig. 12 experiment.
-type DeadlockDetector = metrics.DeadlockDetector
-
-// NewDeadlockDetector builds a detector over a network built by a dshsim
-// constructor; call Start before Run. A zero interval defaults to 100 µs,
-// zero confirm to 3 consecutive scans.
-func NewDeadlockDetector(net *topology.Network, interval units.Time, confirm int) *DeadlockDetector {
-	return metrics.NewDeadlockDetector(net, interval, confirm)
-}
 
 // FaultScenario re-exports the declarative fault script (see internal/fault
 // for the JSON format and determinism rules). Attach one to a run via

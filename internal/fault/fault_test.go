@@ -166,7 +166,7 @@ func TestInjectorCompilesAndRuns(t *testing.T) {
 			t.Error("skew not removed")
 		}
 	})
-	net.RunUntil(1 * units.Millisecond)
+	net.Par.RunUntil(1 * units.Millisecond)
 
 	st := inj.Stats()
 	if st.Flaps != 3 {

@@ -6,7 +6,7 @@
 // occupancy using the same Dynamic Threshold arithmetic as the packet-level
 // MMU (T = α·(Bs − ΣQ), Xoff = T − δ). The output is a per-flow completion
 // time without any per-packet events, which is what makes 10⁵–10⁶ flow
-// sweeps run in seconds (see dshsim's `scale` family and DESIGN.md §13).
+// sweeps run in seconds (see dshsim's `scale` family and DESIGN.md §11).
 //
 // The engine is deliberately self-contained: the caller (dshsim.fidelity)
 // extracts the link graph, per-switch shared-buffer capacity Bs, per-port

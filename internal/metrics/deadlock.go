@@ -23,11 +23,9 @@ type DeadlockDetector struct {
 	interval units.Time
 	confirm  int
 
-	streak     int
-	streakAt   units.Time
-	onset      units.Time
-	lastLocked bool
-	scans      int64
+	streak   int
+	streakAt units.Time
+	onset    units.Time
 }
 
 // NewDeadlockDetector builds a detector; Start arms it. interval defaults
@@ -58,17 +56,9 @@ func (d *DeadlockDetector) Onset() units.Time { return d.onset }
 // Deadlocked reports whether a confirmed deadlock was detected.
 func (d *DeadlockDetector) Deadlocked() bool { return d.onset >= 0 }
 
-// Locked reports whether the most recent scan saw a dependency cycle.
-func (d *DeadlockDetector) Locked() bool { return d.lastLocked }
-
-// Scans returns the number of scans performed.
-func (d *DeadlockDetector) Scans() int64 { return d.scans }
-
 func (d *DeadlockDetector) tick() {
-	d.scans++
 	now := d.net.Sim.Now()
-	d.lastLocked = d.scanCycle()
-	if d.lastLocked {
+	if d.scanCycle() {
 		if d.streak == 0 {
 			d.streakAt = now
 		}

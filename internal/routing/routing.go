@@ -198,9 +198,6 @@ func ComputeFlat(numNodes int, links []Link, hosts []int) *FlatTable {
 	return ft
 }
 
-// NumHosts returns the number of destination columns.
-func (ft *FlatTable) NumHosts() int { return ft.numHosts }
-
 // col resolves a destination host node ID to its column, or -1.
 func (ft *FlatTable) col(dst int) int {
 	if ft.dstIdx != nil {

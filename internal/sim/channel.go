@@ -31,9 +31,6 @@ type Channel struct {
 	head int
 	n    int
 	// armed reports whether the head entry's event is resident on the heap.
-	// A cancelled head stays armed and fires as a no-op (lazy, like Timer
-	// cancellation); cancelled non-head entries are dropped when the head
-	// advances past them, without ever touching the heap.
 	armed bool
 	// buf0 is the initial ring, inline so a slab-allocated device embedding
 	// the channel pays no allocation until a link holds more than chanInline
@@ -49,11 +46,10 @@ const chanInline = 16
 // chanEntry is one buffered delivery: the (at, seq) key it would have had as
 // a heap event, plus the sink payload.
 type chanEntry struct {
-	at        units.Time
-	seq       uint64
-	n         int64
-	arg       any
-	cancelled bool
+	at  units.Time
+	seq uint64
+	n   int64
+	arg any
 }
 
 // Init binds the channel to a simulator and a delivery callback. Channels
@@ -74,19 +70,18 @@ func (c *Channel) Init(s *Simulator, sink Action) {
 	c.armed = false
 }
 
-// Len returns the number of buffered entries (including cancelled ones not
-// yet dropped).
+// Len returns the number of buffered entries.
 func (c *Channel) Len() int { return c.n }
 
 // Push buffers a delivery of (arg, n) to the sink after the given delay.
 // Delays must keep due times non-decreasing across pushes.
-func (c *Channel) Push(delay units.Time, arg any, n int64) ChanTimer {
-	return c.PushAt(c.s.now+delay, arg, n)
+func (c *Channel) Push(delay units.Time, arg any, n int64) {
+	c.PushAt(c.s.now+delay, arg, n)
 }
 
 // PushAt buffers a delivery of (arg, n) to the sink at the given absolute
 // time, which must not precede the current tail's due time (nor the clock).
-func (c *Channel) PushAt(at units.Time, arg any, n int64) ChanTimer {
+func (c *Channel) PushAt(at units.Time, arg any, n int64) {
 	if c.sink == nil {
 		panic("sim: Push on an uninitialised Channel")
 	}
@@ -108,7 +103,6 @@ func (c *Channel) PushAt(at units.Time, arg any, n int64) ChanTimer {
 	if !c.armed {
 		c.arm(at, seq)
 	}
-	return ChanTimer{ch: c, seq: seq}
 }
 
 // grow doubles the ring, unrolling it to the front.
@@ -128,89 +122,18 @@ func (c *Channel) arm(at units.Time, seq uint64) {
 	c.armed = true
 }
 
-// Run implements Action: the resident head event fired. Pop the head, drop
-// any cancelled followers, re-arm the next live entry, then deliver. Arming
-// precedes delivery so the sink may push new entries reentrantly.
+// Run implements Action: the resident head event fired. Pop the head,
+// re-arm the next entry, then deliver. Arming precedes delivery so the sink
+// may push new entries reentrantly.
 func (c *Channel) Run(any, int64) {
 	c.armed = false
-	mask := len(c.buf) - 1
 	e := c.buf[c.head]
 	c.buf[c.head] = chanEntry{}
-	c.head = (c.head + 1) & mask
+	c.head = (c.head + 1) & (len(c.buf) - 1)
 	c.n--
-	for c.n > 0 && c.buf[c.head].cancelled {
-		c.buf[c.head] = chanEntry{}
-		c.head = (c.head + 1) & mask
-		c.n--
-	}
 	if c.n > 0 {
 		next := &c.buf[c.head]
 		c.arm(next.at, next.seq)
 	}
-	if !e.cancelled {
-		c.sink.Run(e.arg, e.n)
-	}
-}
-
-// find locates the live ring entry carrying seq, or nil. Sequence numbers
-// are strictly increasing along the ring, so this is a binary search.
-func (c *Channel) find(seq uint64) *chanEntry {
-	mask := len(c.buf) - 1
-	lo, hi := 0, c.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.buf[(c.head+mid)&mask].seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < c.n {
-		if e := &c.buf[(c.head+lo)&mask]; e.seq == seq {
-			return e
-		}
-	}
-	return nil
-}
-
-// ChanTimer is a cancellable handle to a channel entry, the Channel
-// counterpart of Timer. The zero ChanTimer is inert. Sequence numbers are
-// globally unique and never reused, so no generation check is needed: a
-// handle to a delivered or dropped entry simply stops resolving.
-type ChanTimer struct {
-	ch  *Channel
-	seq uint64
-}
-
-// Active reports whether the entry is still buffered and not cancelled.
-func (t ChanTimer) Active() bool {
-	if t.ch == nil {
-		return false
-	}
-	e := t.ch.find(t.seq)
-	return e != nil && !e.cancelled
-}
-
-// At returns the entry's due time, or -1 if the handle is no longer active.
-func (t ChanTimer) At() units.Time {
-	if t.ch == nil {
-		return -1
-	}
-	if e := t.ch.find(t.seq); e != nil && !e.cancelled {
-		return e.at
-	}
-	return -1
-}
-
-// Cancel prevents the entry's delivery. The entry itself is dropped when the
-// head advances past it; a cancelled head entry's resident event fires as a
-// no-op. Cancel does not release the pushed arg — the canceller owns it.
-func (t ChanTimer) Cancel() {
-	if t.ch == nil {
-		return
-	}
-	if e := t.ch.find(t.seq); e != nil && !e.cancelled {
-		e.cancelled = true
-		e.arg = nil
-	}
+	c.sink.Run(e.arg, e.n)
 }

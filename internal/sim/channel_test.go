@@ -101,52 +101,13 @@ func TestChannelNonFIFOPushPanics(t *testing.T) {
 	ch.Push(10, nil, 1)
 }
 
-func TestChanTimerCancelAndZeroValue(t *testing.T) {
-	s := New()
-	var got []rec
-	sink := recSink{s: s, recs: &got}
-	var ch Channel
-	ch.Init(s, &sink)
-	head := ch.Push(10, nil, 1)
-	mid := ch.Push(20, nil, 2)
-	tail := ch.Push(30, nil, 3)
-	if !head.Active() || !mid.Active() || !tail.Active() {
-		t.Fatal("fresh handles not Active")
-	}
-	if mid.At() != 20 {
-		t.Fatalf("mid.At = %v, want 20", mid.At())
-	}
-	head.Cancel() // armed head: resident event fires as a no-op
-	mid.Cancel()  // buffered entry: dropped when the head advances
-	if head.Active() || mid.Active() {
-		t.Fatal("cancelled handles still Active")
-	}
-	if mid.At() != -1 {
-		t.Fatalf("cancelled mid.At = %v, want -1", mid.At())
-	}
-	mid.Cancel() // double-cancel is a no-op
-	var zero ChanTimer
-	zero.Cancel()
-	if zero.Active() || zero.At() != -1 {
-		t.Error("zero ChanTimer is not inert")
-	}
-	s.Run()
-	if len(got) != 1 || got[0] != (rec{30, 3, 0}) {
-		t.Fatalf("deliveries = %v, want only (30, 3)", got)
-	}
-	if tail.Active() {
-		t.Error("delivered handle still Active")
-	}
-}
-
 // TestChannelMatchesHeapOracle is the equivalence property test: a random
-// schedule of pushes, cancels, and interleaved plain events runs once
-// through Channels and once through per-entry AtAction scheduling on a
-// second simulator. Push reserves the global seq exactly where AtAction
-// would, and re-arms reuse the stored key, so the two simulators hold
-// identical (at, seq) event sets at all times — the observed delivery
-// sequences (times, payloads, and tie-break order) must match exactly, and
-// every ChanTimer must mirror its oracle Timer's Active/At.
+// schedule of pushes and interleaved plain events runs once through
+// Channels and once through per-entry AtAction scheduling on a second
+// simulator. Push reserves the global seq exactly where AtAction would, and
+// re-arms reuse the stored key, so the two simulators hold identical
+// (at, seq) event sets at all times — the observed delivery sequences
+// (times, payloads, and tie-break order) must match exactly.
 func TestChannelMatchesHeapOracle(t *testing.T) {
 	const channels = 3
 	for trial := 0; trial < 20; trial++ {
@@ -166,8 +127,6 @@ func TestChannelMatchesHeapOracle(t *testing.T) {
 		cPlain := recSink{s: cs, recs: &cGot, tag: 99}
 		oPlain := recSink{s: os, recs: &oGot, tag: 99}
 
-		var cTimers []ChanTimer
-		var oTimers []Timer
 		var lastDue [channels]units.Time
 		var n int64
 
@@ -182,34 +141,17 @@ func TestChannelMatchesHeapOracle(t *testing.T) {
 				}
 				lastDue[k] = at
 				n++
-				cTimers = append(cTimers, chs[k].PushAt(at, nil, n))
-				oTimers = append(oTimers, os.AtAction(at, &oSinks[k], nil, n))
+				chs[k].PushAt(at, nil, n)
+				os.AtAction(at, &oSinks[k], nil, n)
 			case op < 7: // plain event on both
 				at := cs.Now() + units.Time(5*rng.Intn(10))
 				n++
 				cs.AtAction(at, &cPlain, nil, n)
 				os.AtAction(at, &oPlain, nil, n)
-			case op < 8: // cancel a random earlier push
-				if len(cTimers) == 0 {
-					continue
-				}
-				i := rng.Intn(len(cTimers))
-				cTimers[i].Cancel()
-				oTimers[i].Cancel()
 			default: // advance both clocks
 				d := units.Time(rng.Intn(20))
 				cs.RunUntil(cs.Now() + d)
 				os.RunUntil(os.Now() + d)
-			}
-			if i := rng.Intn(len(cTimers) + 1); i < len(cTimers) {
-				if ca, oa := cTimers[i].Active(), oTimers[i].Active(); ca != oa {
-					t.Fatalf("trial %d step %d: handle %d Active: channel %v, oracle %v",
-						trial, step, i, ca, oa)
-				}
-				if ct, ot := cTimers[i].At(), oTimers[i].At(); ct != ot {
-					t.Fatalf("trial %d step %d: handle %d At: channel %v, oracle %v",
-						trial, step, i, ct, ot)
-				}
 			}
 		}
 		cs.Run()

@@ -14,6 +14,10 @@ import (
 //
 // A Parallel groups one coordinator Simulator with K logical-process (LP)
 // Simulators and runs them under an epoch-barrier conservative schedule.
+// K may be zero: with no LPs every device runs on the coordinator and
+// RunUntil is the coordinator's own RunUntil — the classic single-heap
+// engine, not a one-LP partition (whose coordinator events would sort
+// before device events at equal timestamps).
 // Every epoch, each LP d executes its events in parallel up to its own
 // window limit
 //
@@ -70,10 +74,6 @@ import (
 // local sequence numbers per LP is ~5 orders of magnitude above the largest
 // run's event count; 2^15 LPs is two above the largest topology.
 const lpSeqShift = 48
-
-// hugeLookahead stands in for "no cross-LP links": Lookahead reports it
-// when no remotes are registered.
-const hugeLookahead = units.Time(math.MaxInt64 >> 2)
 
 // noMsg is the per-edge pending-minimum sentinel for an empty mailbox.
 const noMsg = units.Time(math.MaxInt64)
@@ -152,7 +152,6 @@ type joinFlag struct {
 type Parallel struct {
 	coord   *Simulator
 	lps     []*Simulator
-	look    units.Time
 	workers int
 
 	// Double-buffered per-edge mailboxes, indexed by edge id (one edge per
@@ -222,7 +221,7 @@ func NewParallel(coord *Simulator, workers int) *Parallel {
 	if coord.seqBase != 0 {
 		panic("sim: coordinator must be an untagged Simulator")
 	}
-	return &Parallel{coord: coord, look: hugeLookahead, workers: workers}
+	return &Parallel{coord: coord, workers: workers}
 }
 
 // NewLP creates and registers the next logical process, returning its
@@ -261,9 +260,6 @@ func (p *Parallel) NewRemote(src *Simulator, dst int, latency units.Time) *Remot
 	if dst < 0 || dst >= len(p.lps) {
 		panic("sim: remote destination LP out of range")
 	}
-	if latency < p.look {
-		p.look = latency
-	}
 	r := &Remote{par: p, src: srcIdx, dst: int32(dst), srcSim: src, minDelay: latency}
 	p.remotes = append(p.remotes, r)
 	return r
@@ -278,6 +274,9 @@ func (p *Parallel) AddLPWeight(lp int, w uint64) {
 	if p.final {
 		panic("sim: AddLPWeight after the first RunUntil")
 	}
+	if len(p.lps) == 0 {
+		return
+	}
 	for len(p.weights) < len(p.lps) {
 		p.weights = append(p.weights, 0)
 	}
@@ -286,17 +285,6 @@ func (p *Parallel) AddLPWeight(lp int, w uint64) {
 
 // LPCount returns the number of registered LPs.
 func (p *Parallel) LPCount() int { return len(p.lps) }
-
-// LP returns the i-th LP's simulator.
-func (p *Parallel) LP(i int) *Simulator { return p.lps[i] }
-
-// Coord returns the coordinator simulator.
-func (p *Parallel) Coord() *Simulator { return p.coord }
-
-// Lookahead returns the minimum cross-LP link latency — the narrowest
-// entry of the pairwise lookahead matrix, and the worst-case epoch width —
-// or hugeLookahead when no remotes are registered.
-func (p *Parallel) Lookahead() units.Time { return p.look }
 
 // Processed returns the total events executed across the coordinator and
 // every LP.
@@ -414,9 +402,15 @@ func (p *Parallel) finalize() {
 }
 
 // RunUntil executes all coordinator and LP events with timestamps <=
-// deadline (which must be non-negative) and then advances every clock to
-// the deadline, mirroring Simulator.RunUntil semantics.
+// deadline and then advances every clock to the deadline, mirroring
+// Simulator.RunUntil semantics. With no LPs it is exactly the coordinator's
+// RunUntil (the classic engine); with LPs the deadline must be
+// non-negative.
 func (p *Parallel) RunUntil(deadline units.Time) {
+	if len(p.lps) == 0 {
+		p.coord.RunUntil(deadline)
+		return
+	}
 	if deadline < 0 {
 		panic("sim: Parallel.RunUntil needs a non-negative deadline")
 	}
@@ -769,32 +763,6 @@ func (s *Simulator) peekTime() units.Time {
 		return top.at
 	}
 	return -1
-}
-
-// runWindow executes every event with at < limit. Unlike RunUntil it does
-// not advance the clock to the window edge afterwards: the LP's clock must
-// keep lower-bounding its next event so later, narrower windows and
-// coordinator turns stay valid.
-func (s *Simulator) runWindow(limit units.Time) {
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if top.ev.cancelled {
-			s.pop()
-			s.cancelled--
-			s.recycle(top.ev)
-			continue
-		}
-		if top.at >= limit {
-			return
-		}
-		s.pop()
-		ev := top.ev
-		s.now = top.at
-		act, arg, n := ev.act, ev.arg, ev.n
-		s.recycle(ev)
-		s.processed++
-		act.Run(arg, n)
-	}
 }
 
 // runOne executes exactly the earliest live event. The caller has already

@@ -131,3 +131,89 @@ func TestParallelIdleLPNoStarvation(t *testing.T) {
 		t.Fatalf("idle-LP shape took %d epochs, want 1 — the pairwise window did not open past the idle edge", e)
 	}
 }
+
+// fireLog is an Action that records every firing as (time, payload). A
+// chain event (payload below 1000) re-arms itself until the horizon and,
+// driven by the private rng, adds leaf events that schedule nothing, plus
+// timers it cancels straight away. Delays fall on a coarse grid that
+// includes zero, so timestamps tie and some events land on the current
+// instant.
+type fireLog struct {
+	s       *Simulator
+	rng     *rand.Rand
+	log     []int64
+	horizon units.Time
+}
+
+func (f *fireLog) Run(_ any, k int64) {
+	f.log = append(f.log, int64(f.s.Now()), k)
+	if f.s.Now() >= f.horizon {
+		return
+	}
+	if k >= 1000 {
+		return
+	}
+	f.s.ScheduleAction(5*units.Time(f.rng.Intn(4)), f, nil, k)
+	for i := f.rng.Intn(3); i > 0; i-- {
+		f.s.ScheduleAction(5*units.Time(f.rng.Intn(4)), f, nil, 1000+f.rng.Int63n(1000))
+	}
+	if f.rng.Intn(4) == 0 {
+		f.s.ScheduleAction(units.Time(f.rng.Intn(20)), f, nil, -1).Cancel()
+	}
+}
+
+// TestParallelNoLPsMatchesSimulator pins the classic engine's definition: a
+// Parallel with no LPs runs its coordinator exactly as a bare Simulator
+// runs itself. The same random schedule goes to both, both are driven with
+// the same RunUntil deadlines (ending with a negative one, which drains),
+// and after every call the fire order, clock, Processed and HeapMax must
+// agree.
+func TestParallelNoLPsMatchesSimulator(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		build := func(s *Simulator) *fireLog {
+			f := &fireLog{s: s, rng: rand.New(rand.NewSource(seed)), horizon: 400}
+			for i := 0; i < 8; i++ {
+				s.AtAction(5*units.Time(f.rng.Intn(10)), f, nil, int64(i))
+			}
+			return f
+		}
+		bare := New()
+		bf := build(bare)
+		coord := New()
+		par := NewParallel(coord, 2)
+		pf := build(coord)
+
+		drng := rand.New(rand.NewSource(^seed))
+		deadline := units.Time(0)
+		for step := 0; step < 40; step++ {
+			if step == 39 {
+				deadline = -1
+			} else {
+				deadline += units.Time(drng.Intn(30))
+			}
+			bare.RunUntil(deadline)
+			par.RunUntil(deadline)
+			if len(bf.log) != len(pf.log) {
+				t.Fatalf("seed %d step %d: %d firings on Simulator, %d on Parallel",
+					seed, step, len(bf.log)/2, len(pf.log)/2)
+			}
+			for i := range bf.log {
+				if bf.log[i] != pf.log[i] {
+					t.Fatalf("seed %d step %d: firing %d differs: Simulator %v, Parallel %v",
+						seed, step, i/2, bf.log[i&^1:i&^1+2], pf.log[i&^1:i&^1+2])
+				}
+			}
+			if bare.Now() != coord.Now() {
+				t.Fatalf("seed %d step %d: clock %v on Simulator, %v on Parallel", seed, step, bare.Now(), coord.Now())
+			}
+			if bare.Processed() != par.Processed() || bare.HeapMax() != par.HeapMax() {
+				t.Fatalf("seed %d step %d: Processed/HeapMax %d/%d on Simulator, %d/%d on Parallel",
+					seed, step, bare.Processed(), bare.HeapMax(), par.Processed(), par.HeapMax())
+			}
+		}
+		if bare.Pending() != 0 || len(bf.log) < 1000 {
+			t.Fatalf("seed %d: %d events left pending, %d fired; want a drained run of at least 500",
+				seed, bare.Pending(), len(bf.log)/2)
+		}
+	}
+}

@@ -245,8 +245,8 @@ func TestRemoteSendBelowLatencyPanics(t *testing.T) {
 }
 
 // TestParallelHugeLookaheadNoRemotes exercises the no-cross-LP-links path:
-// the window is bounded only by the coordinator and deadline, and the
-// overflow guard on tlp+lookahead must not produce a negative limit.
+// with no in-edges every window is bounded only by the coordinator and the
+// deadline.
 func TestParallelHugeLookaheadNoRemotes(t *testing.T) {
 	coord := New()
 	par := NewParallel(coord, 2)

@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"dsh/units"
 )
@@ -108,7 +109,6 @@ type Simulator struct {
 	free      []*Event
 	lastBlock []Event
 	seq       uint64
-	stopped   bool
 	processed uint64
 	heapMax   int
 	cancelled int
@@ -249,22 +249,32 @@ func (s *Simulator) atSeq(t units.Time, seq uint64, act Action, arg any, n int64
 	ev.n = n
 }
 
-// Stop makes the current Run/RunUntil call return after the in-progress
-// event completes. Pending events stay queued.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (s *Simulator) Run() {
 	s.RunUntil(-1)
 }
 
 // RunUntil executes events with timestamps <= deadline (every event when
 // deadline is negative), advancing the clock to the deadline afterwards when
-// it is non-negative. It returns when the queue drains, the deadline passes,
-// or Stop is called.
+// it is non-negative.
 func (s *Simulator) RunUntil(deadline units.Time) {
-	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
+	limit := units.Time(math.MaxInt64)
+	if deadline >= 0 && deadline < limit {
+		limit = deadline + 1
+	}
+	s.runWindow(limit)
+	if deadline >= 0 && s.now < deadline {
+		s.now = deadline
+	}
+}
+
+// runWindow is the engine's one dispatch loop: it executes every event with
+// at < limit, reaping cancelled entries on the way. It leaves the clock at
+// the last event it ran; RunUntil advances it to the deadline, while a
+// partitioned LP's clock must keep lower-bounding its next event so later,
+// narrower windows and coordinator turns stay valid.
+func (s *Simulator) runWindow(limit units.Time) {
+	for len(s.heap) > 0 {
 		top := s.heap[0]
 		if top.ev.cancelled {
 			s.pop()
@@ -272,8 +282,8 @@ func (s *Simulator) RunUntil(deadline units.Time) {
 			s.recycle(top.ev)
 			continue
 		}
-		if deadline >= 0 && top.at > deadline {
-			break
+		if top.at >= limit {
+			return
 		}
 		s.pop()
 		ev := top.ev
@@ -282,9 +292,6 @@ func (s *Simulator) RunUntil(deadline units.Time) {
 		s.recycle(ev)
 		s.processed++
 		act.Run(arg, n)
-	}
-	if deadline >= 0 && s.now < deadline && !s.stopped {
-		s.now = deadline
 	}
 }
 

@@ -111,22 +111,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	var count int
-	s.Schedule(10, func() { count++; s.Stop() })
-	s.Schedule(20, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (Stop ignored)", count)
-	}
-	// Remaining event still pending and runnable.
-	s.Run()
-	if count != 2 {
-		t.Errorf("count = %d, want 2 after resuming", count)
-	}
-}
-
 func TestPastSchedulingPanics(t *testing.T) {
 	s := New()
 	s.Schedule(10, func() {})

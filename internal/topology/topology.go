@@ -84,13 +84,13 @@ type Config struct {
 	OnFlowDone func(f *transport.Flow)
 
 	// LPWorkers, when positive, partitions the fabric into logical
-	// processes (one or more devices per LP, assigned by the builder) and
-	// executes runs on the epoch-barrier parallel engine (sim.Parallel)
-	// with this many workers. Sim becomes the coordinator: flow starts and
-	// samplers scheduled on it run single-threaded at epoch barriers.
+	// processes (one or more devices per LP, assigned by the builder) that
+	// Network.Par runs on this many workers; Sim is the coordinator, whose
+	// flow starts and samplers run single-threaded at epoch barriers.
 	// Results are deterministic and independent of the worker count, but
 	// follow the partitioned (at, lp, seq) event order, which may interleave
-	// same-timestamp events differently than a classic (LPWorkers == 0) run.
+	// same-timestamp events differently than a classic run. Zero opens no
+	// LPs: every device runs on Sim, the classic engine.
 	LPWorkers int
 
 	Seed int64
@@ -146,9 +146,9 @@ type Network struct {
 	// facade stores its run state here).
 	UserData any
 
-	// Par is the epoch-barrier scheduler when the network is partitioned
-	// (Cfg.LPWorkers > 0); nil for a classic single-heap network. Sim is
-	// then the coordinator and every device runs on its LP's simulator.
+	// Par runs the network. Sim is its coordinator; with Cfg.LPWorkers > 0
+	// every device runs on its LP's simulator, and with LPWorkers == 0 Par
+	// has no LPs and every device runs on Sim — the classic engine.
 	Par *sim.Parallel
 
 	peers map[endpoint]endpoint
@@ -159,9 +159,10 @@ type Network struct {
 
 	startAct startFlowAction
 
-	// Per-LP build state (partitioned mode): the simulator and packet pool
-	// each LP's devices are constructed with, the LP of every host and
-	// switch, and the group new devices currently join (see useLP).
+	// Per-LP build state: the simulator and packet pool each LP's devices
+	// are constructed with, the LP of every host and switch, and the group
+	// new devices currently join (see useLP). The classic engine is the one
+	// group 0, built on Sim and Pool.
 	lpSims   []*sim.Simulator
 	lpPools  []*packet.Pool
 	hostLP   []int32
@@ -210,100 +211,33 @@ func (n *Network) inputOf(node, port int) eport.Receiver {
 	return n.Hosts[node].Input()
 }
 
-// Partitioned reports whether the network runs on the parallel engine.
-func (n *Network) Partitioned() bool { return n.Par != nil }
+// Partitioned reports whether the network runs on logical processes.
+func (n *Network) Partitioned() bool { return n.Par.LPCount() > 0 }
 
 // LPOfNode returns the logical process owning a node (0 when classic).
 func (n *Network) LPOfNode(node int) int {
-	if n.Par == nil {
-		return 0
-	}
 	if n.IsSwitchNode(node) {
 		return int(n.switchLP[node-len(n.Hosts)])
 	}
 	return int(n.hostLP[node])
 }
 
-// LPCount returns the number of logical processes (1 when classic: the
-// whole network is one process on Sim).
-func (n *Network) LPCount() int {
-	if n.Par == nil {
-		return 1
-	}
-	return n.Par.LPCount()
-}
+// LPCount returns the number of device groups (1 when classic: the whole
+// network is one group on Sim).
+func (n *Network) LPCount() int { return len(n.lpSims) }
 
 // SimOf returns the simulator a node's device runs on: its LP's simulator
 // in a partitioned network, Sim otherwise. Per-flow machinery that
 // schedules on behalf of a source host (congestion-control timers) must use
 // the source's simulator.
-func (n *Network) SimOf(node int) *sim.Simulator {
-	if n.Par == nil {
-		return n.Sim
-	}
-	return n.lpSims[n.LPOfNode(node)]
-}
-
-// RunUntil advances the whole network to the deadline: the parallel engine
-// in a partitioned network, the single simulator otherwise.
-func (n *Network) RunUntil(deadline units.Time) {
-	if n.Par != nil {
-		n.Par.RunUntil(deadline)
-	} else {
-		n.Sim.RunUntil(deadline)
-	}
-}
-
-// Processed returns total events executed across the network's simulators.
-func (n *Network) Processed() uint64 {
-	if n.Par != nil {
-		return n.Par.Processed()
-	}
-	return n.Sim.Processed()
-}
-
-// HeapMax returns the largest single-simulator heap high-water mark.
-func (n *Network) HeapMax() int {
-	if n.Par != nil {
-		return n.Par.HeapMax()
-	}
-	return n.Sim.HeapMax()
-}
-
-// Epochs returns the number of barrier epochs the partitioned engine ran,
-// or 0 on the classic single-simulator engine.
-func (n *Network) Epochs() uint64 {
-	if n.Par != nil {
-		return n.Par.Epochs()
-	}
-	return 0
-}
-
-// LPBalance returns the busiest-LP/mean processed-event ratio (see
-// sim.Parallel.LPBalance), or 0 on the classic engine.
-func (n *Network) LPBalance() float64 {
-	if n.Par != nil {
-		return n.Par.LPBalance()
-	}
-	return 0
-}
-
-// ResetSims clamps pooled event memory after a finished run (Simulator.Reset
-// across every simulator the network owns).
-func (n *Network) ResetSims() {
-	if n.Par != nil {
-		n.Par.Reset()
-	} else {
-		n.Sim.Reset()
-	}
-}
+func (n *Network) SimOf(node int) *sim.Simulator { return n.lpSims[n.LPOfNode(node)] }
 
 // newLPGroup opens a fresh logical process and directs subsequent device
 // creation into it, returning its id for later useLP calls. A no-op
-// returning 0 in classic mode, so builders call it unconditionally and
-// device creation order stays identical in both modes.
+// returning 0 on the classic engine, so builders call it unconditionally
+// and device creation order is the same on both.
 func (n *Network) newLPGroup() int {
-	if n.Par == nil {
+	if n.Cfg.LPWorkers <= 0 {
 		return 0
 	}
 	s, idx := n.Par.NewLP()
@@ -314,45 +248,21 @@ func (n *Network) newLPGroup() int {
 }
 
 // useLP directs subsequent device creation into an existing LP group.
-func (n *Network) useLP(id int) {
-	if n.Par == nil {
-		return
-	}
-	n.curLP = id
-}
-
-// buildSim returns the simulator new devices are constructed with.
-func (n *Network) buildSim() *sim.Simulator {
-	if n.Par == nil {
-		return n.Cfg.Sim
-	}
-	return n.lpSims[n.curLP]
-}
-
-// buildPool returns the packet pool new devices are constructed with.
-func (n *Network) buildPool() *packet.Pool {
-	if n.Par == nil {
-		return n.Pool
-	}
-	return n.lpPools[n.curLP]
-}
+func (n *Network) useLP(id int) { n.curLP = id }
 
 // connect wires a full-duplex link between two endpoints and records both
-// directions for routing. In a partitioned network a link between LPs
-// becomes a mailbox edge: each direction's deliveries go through a
-// sim.Remote with the link's propagation delay as lookahead, and arriving
-// packets are re-stamped onto the receiving LP's pool.
+// directions for routing. A link between LPs becomes a mailbox edge: each
+// direction's deliveries go through a sim.Remote with the link's
+// propagation delay as lookahead, and arriving packets are re-stamped onto
+// the receiving LP's pool.
 func (n *Network) connect(aNode, aPort, bNode, bPort int) {
 	n.portOf(aNode, aPort).Connect(n.inputOf(bNode, bPort))
 	n.portOf(bNode, bPort).Connect(n.inputOf(aNode, aPort))
-	if n.Par != nil {
-		la, lb := n.LPOfNode(aNode), n.LPOfNode(bNode)
-		if la != lb {
-			ra := n.Par.NewRemote(n.lpSims[la], lb, LinkDelay)
-			n.portOf(aNode, aPort).ConnectRemote(ra, n.lpPools[lb])
-			rb := n.Par.NewRemote(n.lpSims[lb], la, LinkDelay)
-			n.portOf(bNode, bPort).ConnectRemote(rb, n.lpPools[la])
-		}
+	if la, lb := n.LPOfNode(aNode), n.LPOfNode(bNode); la != lb {
+		ra := n.Par.NewRemote(n.lpSims[la], lb, LinkDelay)
+		n.portOf(aNode, aPort).ConnectRemote(ra, n.lpPools[lb])
+		rb := n.Par.NewRemote(n.lpSims[lb], la, LinkDelay)
+		n.portOf(bNode, bPort).ConnectRemote(rb, n.lpPools[la])
 	}
 	n.peers[endpoint{aNode, aPort}] = endpoint{bNode, bPort}
 	n.peers[endpoint{bNode, bPort}] = endpoint{aNode, aPort}
@@ -451,10 +361,12 @@ func newNetwork(cfg Config) *Network {
 		Sim:   cfg.Sim,
 		Cfg:   cfg,
 		Pool:  packet.NewPool(),
+		Par:   sim.NewParallel(cfg.Sim, cfg.LPWorkers),
 		peers: make(map[endpoint]endpoint, 64),
 	}
-	if cfg.LPWorkers > 0 {
-		n.Par = sim.NewParallel(cfg.Sim, cfg.LPWorkers)
+	if cfg.LPWorkers <= 0 {
+		n.lpSims = []*sim.Simulator{cfg.Sim}
+		n.lpPools = []*packet.Pool{n.Pool}
 	}
 	n.startAct = startFlowAction{n: n}
 	return n
@@ -463,12 +375,10 @@ func newNetwork(cfg Config) *Network {
 // newHost appends a host with the given uplink rate; its ID is its index.
 func (n *Network) newHost(rate units.BitRate) *host.Host {
 	id := len(n.Hosts)
-	if n.Par != nil {
-		n.hostLP = append(n.hostLP, int32(n.curLP))
-		n.Par.AddLPWeight(n.curLP, 1)
-	}
+	n.hostLP = append(n.hostLP, int32(n.curLP))
+	n.Par.AddLPWeight(n.curLP, 1)
 	h := host.New(host.Config{
-		Sim:         n.buildSim(),
+		Sim:         n.lpSims[n.curLP],
 		ID:          id,
 		Rate:        rate,
 		Prop:        LinkDelay,
@@ -478,7 +388,7 @@ func (n *Network) newHost(rate units.BitRate) *host.Host {
 		Header:      n.Cfg.Header,
 		CNPInterval: n.Cfg.CNPInterval,
 		OnFlowDone:  n.Cfg.OnFlowDone,
-		Pool:        n.buildPool(),
+		Pool:        n.lpPools[n.curLP],
 	})
 	n.Hosts = append(n.Hosts, h)
 	return h
@@ -488,13 +398,11 @@ func (n *Network) newHost(rate units.BitRate) *host.Host {
 // sized per port from its rate and the uniform link delay (Eq. 1).
 func (n *Network) newSwitch(name string, rates []units.BitRate) *switchdev.Switch {
 	cfg := n.Cfg
-	if n.Par != nil {
-		n.switchLP = append(n.switchLP, int32(n.curLP))
-		// A switch's event load scales with its port count; hosts weigh 1.
-		// The hints only seed the engine's initial heaviest-first claim
-		// order — measured rebalancing takes over after the first interval.
-		n.Par.AddLPWeight(n.curLP, uint64(len(rates)))
-	}
+	n.switchLP = append(n.switchLP, int32(n.curLP))
+	// A switch's event load scales with its port count; hosts weigh 1. The
+	// hints only seed the engine's initial heaviest-first claim order —
+	// measured rebalancing takes over after the first interval.
+	n.Par.AddLPWeight(n.curLP, uint64(len(rates)))
 	etas := make([]units.ByteSize, len(rates))
 	props := make([]units.Time, len(rates))
 	var maxEta units.ByteSize
@@ -555,7 +463,7 @@ func (n *Network) newSwitch(name string, rates []units.BitRate) *switchdev.Switc
 		panic(fmt.Sprintf("topology: switch %s: %v", name, err))
 	}
 	sw := switchdev.New(switchdev.Config{
-		Sim:      n.buildSim(),
+		Sim:      n.lpSims[n.curLP],
 		Name:     name,
 		Ports:    len(rates),
 		Classes:  cfg.Classes,
@@ -565,7 +473,7 @@ func (n *Network) newSwitch(name string, rates []units.BitRate) *switchdev.Switc
 		ECN:      cfg.ECN,
 		INT:      cfg.INT,
 		Seed:     cfg.Seed + int64(len(n.Switches))*7919,
-		Pool:     n.buildPool(),
+		Pool:     n.lpPools[n.curLP],
 	}, rates, props)
 	n.Switches = append(n.Switches, sw)
 	return sw

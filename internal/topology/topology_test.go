@@ -321,6 +321,32 @@ func TestNetworkNodeHelpers(t *testing.T) {
 	if n.SwitchByNode(n.SwitchNode(0)) != n.Switches[0] {
 		t.Error("SwitchByNode roundtrip failed")
 	}
+	// LPWorkers 0 is a Parallel with no LPs: one device group, on Sim.
+	if n.Par.LPCount() != 0 || n.LPCount() != 1 || n.Partitioned() {
+		t.Errorf("classic: Par.LPCount %d, LPCount %d, Partitioned %v; want 0, 1, false",
+			n.Par.LPCount(), n.LPCount(), n.Partitioned())
+	}
+	for node := 0; node < n.NumNodes(); node++ {
+		if n.SimOf(node) != s || n.LPOfNode(node) != 0 {
+			t.Errorf("classic: node %d runs on LP %d, not on Sim", node, n.LPOfNode(node))
+		}
+	}
+	// A partitioned leaf–spine: one LP per leaf with its hosts, one per spine.
+	ls := LeafSpine(Config{Sim: sim.New(), LPWorkers: 2}, 2, 2, 2, units.Gbps, units.Gbps)
+	if ls.LPCount() != ls.Par.LPCount() || ls.LPCount() <= 1 || !ls.Partitioned() {
+		t.Errorf("partitioned: LPCount %d, Par.LPCount %d, Partitioned %v",
+			ls.LPCount(), ls.Par.LPCount(), ls.Partitioned())
+	}
+	for l, hosts := range ls.LeafHosts {
+		for _, h := range hosts {
+			if ls.SimOf(h) != ls.SimOf(ls.LeafNode[l]) {
+				t.Errorf("partitioned: host %d and its leaf %d run on different simulators", h, l)
+			}
+		}
+	}
+	if ls.SimOf(ls.LeafNode[0]) == ls.SimOf(ls.SpineNode[0]) || ls.SimOf(ls.SpineNode[0]) == ls.Sim {
+		t.Error("partitioned: a spine shares a simulator with a leaf or the coordinator")
+	}
 }
 
 func TestUnknownSchemePanics(t *testing.T) {

@@ -140,7 +140,6 @@ type Factory func(f *Flow) CongestionControl
 // only up to the peak number of concurrently live flows.
 type FlowPool struct {
 	free []*Flow
-	news int64
 }
 
 // flowSlabSize is how many Flows one free-list refill allocates; warming
@@ -156,7 +155,6 @@ func (p *FlowPool) Get() *Flow {
 		*f = Flow{}
 		return f
 	}
-	p.news++
 	slab := make([]Flow, flowSlabSize)
 	if cap(p.free) < len(p.free)+flowSlabSize {
 		free := make([]*Flow, len(p.free), len(p.free)+flowSlabSize)
@@ -173,6 +171,3 @@ func (p *FlowPool) Get() *Flow {
 // Put the object may be handed out again by Get, so any retained *Flow
 // (e.g. inside a completion hook) is invalid.
 func (p *FlowPool) Put(f *Flow) { p.free = append(p.free, f) }
-
-// News reports how many Gets missed the free list and allocated.
-func (p *FlowPool) News() int64 { return p.news }

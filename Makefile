@@ -24,8 +24,12 @@ test-serial:
 # executor (including TestRunAllStress and the short equivalence tests)
 # under -race. It also arms the packet pool's mutate-after-release poison
 # guard (build tag `race`). Long macro sweeps are excluded by testing.Short.
+# GOMAXPROCS is the host's CPU count but at least 2: with one P,
+# Parallel.RunUntil clamps to one worker, and the race detector would never
+# see two LPs run at once.
+RACE_PROCS = $(shell n=$$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1); [ "$$n" -ge 2 ] || n=2; echo $$n)
 race:
-	$(GO) test -race -short ./...
+	GOMAXPROCS=$(RACE_PROCS) $(GO) test -race -short ./...
 
 verify: test test-serial race
 

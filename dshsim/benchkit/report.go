@@ -127,7 +127,7 @@ var eventBudgets = map[string]float64{
 	"Incast":          6_500,      // measured 5,904 (PR 4)
 	"Fig11":           6_100_000,  // measured 5,494,047 (PR 4)
 	"Fig11Point":      680_000,    // measured 612,490 (PR 5)
-	"Fig11PointLP4":   690_000,    // measured 616,772 (PR 5); ~0.7% over serial from mailbox re-inserts
+	"Fig11PointLP4":   690_000,    // measured 616,772; ~0.7% over serial: same-timestamp events run in (at, lp, seq) order
 	"FatTreePoint":    34_000_000, // measured 30,779,527 (PR 8)
 	"FatTreePointLP4": 34_000_000, // measured 30,756,495 (PR 8)
 	// The flow kernel's event count is the fast-forwarding claim in its
@@ -150,9 +150,9 @@ var heapMaxBudgets = map[string]float64{
 	"Incast":          48,     // measured 36 (PR 4); one-event-per-delivery held 333
 	"Fig11":           96,     // measured 74 (PR 4); one-event-per-delivery held 445
 	"Fig11Point":      96,     // measured 74 (PR 5): same topology as one Fig11 sweep point
-	"Fig11PointLP4":   470,    // measured 358 (PR 5): cross-LP packets are heap events, not channel slots
+	"Fig11PointLP4":   47,     // measured 36: an LP heap holds one event per inbound wire, cross-LP ones included
 	"FatTreePoint":    24_000, // measured 18,119 (PR 8): one heap for 1024 hosts
-	"FatTreePointLP4": 22_000, // measured 16,517 (PR 8): summed across ~320 per-LP heaps
+	"FatTreePointLP4": 22_000, // measured 16,517: the coordinator's pending flow starts; the largest LP heap holds 168
 	// The flow engine has no Sim event heap at all (its completion heap
 	// lives inside flowsim and is not Sim-accounted), so only the packet
 	// kernel carries a heap ceiling — it scales with standing flows, not

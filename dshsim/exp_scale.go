@@ -29,8 +29,8 @@ type ScaleSchemeStats struct {
 	// HotLinks and PacketFlows are the hybrid/flow diagnostics (zero at
 	// packet fidelity). Raw engine event counts are deliberately NOT part
 	// of the row: they differ between the classic and LP-partitioned
-	// engines (mailbox re-inserts), and the serve content key excludes
-	// lpWorkers on the promise that rows do not.
+	// engines (same-timestamp events run in another order), and the serve
+	// content key excludes lpWorkers on the promise that rows do not.
 	HotLinks    int
 	PacketFlows int
 }

@@ -38,6 +38,13 @@ func TestFaultsFamilyDeterministic(t *testing.T) {
 	if len(a) != 2*len(faultClasses()) {
 		t.Fatalf("got %d rows, want %d", len(a), 2*len(faultClasses()))
 	}
+	// DSH stays lossless under every fault class. (SIH does not on this
+	// fabric; see ROADMAP "Check the system against the paper".)
+	for _, r := range a {
+		if r.Scheme == DSH && r.Drops != 0 {
+			t.Errorf("%s/DSH dropped %d packets; DSH must stay lossless", r.Fault, r.Drops)
+		}
+	}
 	// The faulted rows must differ from the clean baseline somewhere —
 	// injection that changes nothing is a wiring bug.
 	base := map[Scheme]FaultsRow{a[0].Scheme: a[0], a[1].Scheme: a[1]}

@@ -147,11 +147,11 @@ type Port struct {
 	// delivered (the stale-delivery guard the fault layer relies on).
 	epoch int64
 
-	// wireDrops counts packets serialized into a dead link (txDone, run by
-	// the sending LP); lateDrops counts packets invalidated mid-flight by a
-	// flap or arriving while down (deliver, run by the receiving LP when
-	// the wire crosses LPs). Each counter has exactly one writing LP, so
-	// the partitioned engine never races on them.
+	// wireDrops counts packets serialized into a dead link (txDone, run on
+	// the sending simulator); lateDrops counts packets invalidated mid-flight
+	// by a flap or arriving while down (deliver, run on the receiving
+	// simulator). Each counter has exactly one writing simulator, so a wire
+	// between two LPs never races on them.
 	wireDrops int64
 	lateDrops int64
 
@@ -185,24 +185,22 @@ type Port struct {
 	// (see sim.Action).
 	txDoneAct  txDoneAction
 	deliverAct deliverAction
-	remoteAct  remoteDeliverAction
 
 	// tracer, when non-nil, receives every departure (trace capture);
 	// traceID is the run-global port ID it reports.
 	tracer  Tracer
 	traceID int32
 
-	// remote, when non-nil, marks this port's wire as crossing a logical-
-	// process boundary: deliveries go through the partitioned engine's
-	// mailbox instead of ch, and arriving packets are re-stamped onto the
-	// receiving LP's pool (rpool) so each pool stays single-goroutine.
-	remote *sim.Remote
-	rpool  *packet.Pool
+	// rpool is the receiving device's packet pool: deliver re-stamps every
+	// arriving packet onto it, so each pool is only ever touched by the
+	// simulator its device runs on.
+	rpool *packet.Pool
 
-	// ch buffers in-flight deliveries. The transmitter is non-preemptive
-	// and the propagation delay constant, so delivery times are strictly
-	// increasing — the FIFO stream a sim.Channel turns into one resident
-	// heap event instead of one per packet in flight.
+	// ch buffers in-flight deliveries on the receiving device's simulator.
+	// The transmitter is non-preemptive and the propagation delay constant,
+	// so delivery times are non-decreasing — the FIFO stream a sim.Channel
+	// turns into one resident heap event instead of one per packet in
+	// flight.
 	ch sim.Channel
 
 	// clsBuf backs cls for the standard class counts, so building a port
@@ -220,16 +218,6 @@ func (a *txDoneAction) Run(any, int64) { a.p.txDone() }
 type deliverAction struct{ p *Port }
 
 func (a *deliverAction) Run(arg any, n int64) { a.p.deliver(arg.(*packet.Packet), n) }
-
-// remoteDeliverAction fires on the *receiving* LP's simulator when a packet's
-// last bit arrives over a cross-LP wire; n is the link epoch at transmit.
-type remoteDeliverAction struct{ p *Port }
-
-func (a *remoteDeliverAction) Run(arg any, n int64) {
-	pkt := arg.(*packet.Packet)
-	pkt.Repool(a.p.rpool)
-	a.p.deliver(pkt, n)
-}
 
 // New builds a port. Connect must be called before any packet is sent.
 func New(cfg Config) *Port {
@@ -258,22 +246,16 @@ func NewInto(p *Port, cfg Config) {
 	}
 	p.txDoneAct = txDoneAction{p: p}
 	p.deliverAct = deliverAction{p: p}
-	p.ch.Init(cfg.Sim, &p.deliverAct)
 }
 
-// Connect attaches the receiving end of the wire.
-func (p *Port) Connect(peer Receiver) { p.peer = peer }
-
-// ConnectRemote routes this port's deliveries through a cross-LP mailbox:
-// packets are inserted into the receiving LP's event heap at the barrier
-// and re-stamped onto pool (the receiving LP's packet pool) on arrival.
-// Connect must still be called with the peer device. Delivery order and
-// timing are identical to the in-LP channel path; the link's propagation
-// delay must be at least the remote's registered latency.
-func (p *Port) ConnectRemote(r *sim.Remote, pool *packet.Pool) {
-	p.remote = r
+// Connect attaches the receiving end of the wire: peer is the device that
+// consumes arrivals, rx the simulator it runs on and pool its packet pool.
+// The delivery channel lives on rx and is pushed from the port's own
+// simulator; the link's propagation delay is its minimum delay.
+func (p *Port) Connect(peer Receiver, rx *sim.Simulator, pool *packet.Pool) {
+	p.peer = peer
 	p.rpool = pool
-	p.remoteAct = remoteDeliverAction{p: p}
+	p.ch.InitFrom(p.cfg.Sim, rx, p.cfg.Prop, &p.deliverAct)
 }
 
 // SetTracer attaches (or, with nil, detaches) a departure tracer; id is
@@ -331,8 +313,8 @@ func (p *Port) ExtraDelay() units.Time { return p.extra }
 // QueuedPackets counts packets resident in this port's queues: the control
 // queue, every class queue, and a packet being serialized into a down link
 // (which lives nowhere else until txDone releases it). A packet being
-// serialized into an *up* link is already buffered in the delivery channel
-// and is counted by InFlight instead.
+// serialized into an *up* link is already on the wire and is counted by
+// InFlight instead.
 func (p *Port) QueuedPackets() int {
 	n := p.ctrl.len()
 	for i := range p.cls {
@@ -344,9 +326,10 @@ func (p *Port) QueuedPackets() int {
 	return n
 }
 
-// InFlight counts packets buffered in the in-process delivery channel (on
-// the wire). Cross-LP wires deliver through the partitioned engine's
-// mailboxes instead and are not visible here.
+// InFlight counts packets buffered in the delivery channel (on the wire).
+// A channel whose pushes cross logical processes counts a packet only once
+// the receiving side has drained it from the engine's mailbox (see
+// sim.Channel.Len).
 func (p *Port) InFlight() int { return p.ch.Len() }
 
 // Enqueue appends a data-path packet to its class queue and kicks the
@@ -547,11 +530,7 @@ func (p *Port) transmit(e entry) {
 			at = p.lastDeliverAt
 		}
 		p.lastDeliverAt = at
-		if p.remote != nil {
-			p.remote.Send(at-s.Now(), &p.remoteAct, pkt, p.epoch)
-		} else {
-			p.ch.PushAt(at, pkt, p.epoch)
-		}
+		p.ch.PushAt(at, pkt, p.epoch)
 	}
 }
 
@@ -578,8 +557,11 @@ func (p *Port) txDone() {
 
 // deliver hands a packet whose last bit has crossed the wire to the peer,
 // unless the link is down or went down while it was in flight (the epoch
-// stamped at transmit no longer matches).
+// stamped at transmit no longer matches). It runs on the receiving device's
+// simulator and first re-stamps the packet onto that device's pool, so a
+// late drop releases it there too.
 func (p *Port) deliver(pkt *packet.Packet, epoch int64) {
+	pkt.Repool(p.rpool)
 	if p.up && epoch == p.epoch {
 		p.peer.Receive(pkt)
 	} else {

@@ -55,7 +55,7 @@ func newTestPort(s *sim.Simulator, mutate func(*Config)) (*Port, *collector) {
 		mutate(&cfg)
 	}
 	p := New(cfg)
-	p.Connect(c)
+	p.Connect(c, s, packet.NewPool())
 	return p, c
 }
 
@@ -481,5 +481,55 @@ func TestSetExtraDelayShrinkKeepsFIFO(t *testing.T) {
 	}
 	if c.at[1] < c.at[0] {
 		t.Errorf("wire reordered: second at %v before first at %v", c.at[1], c.at[0])
+	}
+}
+
+// releaser is a receiving device that consumes every arrival at once.
+type releaser struct{ got int }
+
+func (r *releaser) Receive(p *packet.Packet) {
+	r.got++
+	p.Release()
+}
+
+// TestCrossLPDeliveryReleasesIntoReceivingPool pins pool ownership on a
+// wire between two LPs: the port transmits on LP a from a's pool, and every
+// packet that reaches LP b — delivered and released by the receiver, or
+// dropped late by a mid-flight flap — must return to b's pool, never to
+// a's. The flap falls between two transmission starts, so no packet is
+// serialized into the dead link (whose drop is the sender's to release).
+func TestCrossLPDeliveryReleasesIntoReceivingPool(t *testing.T) {
+	coord := sim.New()
+	par := sim.NewParallel(coord, 2)
+	sa, _ := par.NewLP()
+	sb, _ := par.NewLP()
+	poolA, poolB := packet.NewPool(), packet.NewPool()
+	p, _ := newTestPort(sa, nil)
+	rx := &releaser{}
+	p.Connect(rx, sb, poolB)
+
+	const n = 20
+	coord.At(0, func() {
+		for i := 0; i < n; i++ {
+			p.Enqueue(poolA.Data(1, 0, 1, 0, 0, 1452, 48), 0)
+		}
+	})
+	// Transmissions start every 120 ns; packets 0 and 1 are on the wire.
+	coord.At(130*units.Nanosecond, func() { p.SetUp(false) })
+	coord.At(135*units.Nanosecond, func() { p.SetUp(true) })
+	par.RunUntil(100 * units.Microsecond)
+
+	if got := p.WireDrops(); got != 2 {
+		t.Fatalf("WireDrops = %d, want the 2 packets in flight at the flap", got)
+	}
+	if rx.got != n-2 {
+		t.Fatalf("delivered %d packets, want %d", rx.got, n-2)
+	}
+	gets, putsA, _ := poolA.Stats()
+	if gets != n || putsA != 0 {
+		t.Errorf("sending pool: %d gets, %d puts; want %d gets and no puts", gets, putsA, n)
+	}
+	if _, putsB, _ := poolB.Stats(); putsB != n {
+		t.Errorf("receiving pool: %d puts, want all %d packets", putsB, n)
 	}
 }

@@ -5,10 +5,13 @@
 // gets − puts must equal the packets still countable in ports. A leak shows
 // up as a surplus, a double-Release panics inside packet.Pool.
 //
-// The tests run the classic engine (LPWorkers 0) so the whole network shares
-// one packet pool and every wire is an in-process channel the ports can
-// count. The external test package lets us drive the public dshsim facade
-// (which imports internal/fault) without an import cycle.
+// The tests run the classic engine (LPWorkers 0): the whole network shares
+// one packet pool, and every packet on a wire sits in its delivery channel,
+// where InFlight counts it. A partitioned network has one pool per LP, and a
+// packet pushed onto a wire between LPs waits uncounted in the engine's
+// mailbox until the receiving LP drains it, so one gets − puts balance does
+// not apply there. The external test package lets us drive the public
+// dshsim facade (which imports internal/fault) without an import cycle.
 package fault_test
 
 import (

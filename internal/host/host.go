@@ -153,8 +153,8 @@ func (a *pfcAction) Run(_ any, n int64) {
 	}
 }
 
-// New builds a host. Wire it with Port().Connect(peerInput) and hand
-// Input() to the peer.
+// New builds a host. Wire it with Port().Connect(peerInput, peerSim,
+// peerPool) and hand Input() to the peer.
 func New(cfg Config) *Host {
 	if cfg.Sim == nil || cfg.Rate <= 0 {
 		panic("host: Sim and Rate are required")

@@ -42,7 +42,7 @@ func newHost(t *testing.T, mutate func(*Config)) (*Host, *wire, *sim.Simulator) 
 	}
 	h := New(cfg)
 	w := &wire{s: s}
-	h.Port().Connect(w)
+	h.Port().Connect(w, s, packet.NewPool())
 	return h, w, s
 }
 

@@ -24,8 +24,20 @@ import (
 //
 // Push panics if the due time is below the current tail's — a channel is for
 // streams that are FIFO by physics, not a general priority queue.
+//
+// A channel lives on the simulator its deliveries fire on. Its pushes may
+// come from another logical process of the same Parallel (a bridged
+// channel, see InitFrom): the key is then reserved on the pushing LP and the
+// entry reaches the ring through the Parallel's mailbox, so the ring and its
+// head event are only ever touched by the receiving LP.
 type Channel struct {
-	s    *Simulator
+	s *Simulator
+	// from is the simulator whose events push: s itself, or for a bridged
+	// channel the sending LP, with eid its mailbox edge and lat the
+	// smallest push-ahead that edge's lookahead allows.
+	from *Simulator
+	eid  int32
+	lat  units.Time
 	sink Action
 	buf  []chanEntry // power-of-two ring
 	head int
@@ -52,14 +64,30 @@ type chanEntry struct {
 	arg any
 }
 
-// Init binds the channel to a simulator and a delivery callback. Channels
-// are embedded by value in their owning device (a port, a host), so Init
-// replaces a constructor.
-func (c *Channel) Init(s *Simulator, sink Action) {
+// Init binds the channel to a simulator and a delivery callback; every push
+// comes from that simulator's own events. Channels are embedded by value in
+// their owning device (a port, a host), so Init replaces a constructor.
+func (c *Channel) Init(s *Simulator, sink Action) { c.InitFrom(s, s, 0, sink) }
+
+// InitFrom binds the channel to the simulator s its deliveries fire on,
+// pushed by events of from. With from == s it is Init. With from and s two
+// LPs of one Parallel the channel is bridged: a push reserves its (at, seq)
+// key on from, waits in the from→s mailbox, and the drain at the top of s's
+// next window inserts it into the ring under that key, so execution order is
+// exactly that of a push made on s. latency is the wire's minimum delay, the
+// edge's lookahead; a bridged push less than latency ahead of from's clock
+// panics. Bridging registers the edge, so it must precede the first RunUntil.
+func (c *Channel) InitFrom(from, s *Simulator, latency units.Time, sink Action) {
 	if s == nil || sink == nil {
 		panic("sim: Channel.Init requires a simulator and a sink")
 	}
 	c.s = s
+	c.from = s
+	if from != s {
+		c.eid = from.par.bridge(from, s, latency)
+		c.from = from
+		c.lat = latency
+	}
 	c.sink = sink
 	c.buf = c.buf0[:]
 	c.head = 0
@@ -70,21 +98,35 @@ func (c *Channel) Init(s *Simulator, sink Action) {
 	c.armed = false
 }
 
-// Len returns the number of buffered entries.
+// Len returns the number of buffered entries. A bridged channel's entries
+// still in the Parallel's mailbox are not counted until the receiving LP
+// drains them.
 func (c *Channel) Len() int { return c.n }
 
-// Push buffers a delivery of (arg, n) to the sink after the given delay.
-// Delays must keep due times non-decreasing across pushes.
+// Push buffers a delivery of (arg, n) to the sink after the given delay on
+// the pushing simulator's clock. Delays must keep due times non-decreasing
+// across pushes.
 func (c *Channel) Push(delay units.Time, arg any, n int64) {
-	c.PushAt(c.s.now+delay, arg, n)
+	c.PushAt(c.from.now+delay, arg, n)
 }
 
 // PushAt buffers a delivery of (arg, n) to the sink at the given absolute
 // time, which must not precede the current tail's due time (nor the clock).
 func (c *Channel) PushAt(at units.Time, arg any, n int64) {
+	if c.from != c.s {
+		c.from.par.send(c, at, arg, n)
+		return
+	}
 	if c.sink == nil {
 		panic("sim: Push on an uninitialised Channel")
 	}
+	c.insert(at, c.s.reserveSeq(), arg, n)
+}
+
+// insert appends an entry under its reserved key, arming the head event if
+// the ring was empty. It runs on the receiving simulator: straight from
+// PushAt, or from the mailbox drain for a bridged push.
+func (c *Channel) insert(at units.Time, seq uint64, arg any, n int64) {
 	if at < c.s.now {
 		panic(fmt.Sprintf("sim: channel push into the past: at %v, now %v", at, c.s.now))
 	}
@@ -94,7 +136,6 @@ func (c *Channel) PushAt(at units.Time, arg any, n int64) {
 			panic(fmt.Sprintf("sim: channel push at %v behind tail due %v — the stream is not FIFO", at, tail.at))
 		}
 	}
-	seq := c.s.reserveSeq()
 	if c.n == len(c.buf) {
 		c.grow()
 	}
@@ -118,7 +159,7 @@ func (c *Channel) grow() {
 
 // arm schedules the resident head event under the entry's reserved key.
 func (c *Channel) arm(at units.Time, seq uint64) {
-	c.s.atSeq(at, seq, c, nil, 0)
+	c.s.enqueueSeq(at, seq).act = c
 	c.armed = true
 }
 

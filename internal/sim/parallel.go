@@ -35,22 +35,27 @@ import (
 // runs straight to the next coordinator event, and a far-ahead or idle
 // neighbour stops throttling everyone else.
 //
-// Events an LP schedules onto another LP travel through single-writer
-// per-edge mailboxes. The mailboxes are double-buffered: senders append to
-// the current buffer while drains read the previous one, which lets the
-// drain fuse into the same barrier phase as event execution — one barrier
-// round per epoch, not two. Messages are flushed into the destination heap
-// once per epoch, in batch, never handed over individually.
+// An LP reaches another LP only through a bridged Channel (see
+// Channel.InitFrom): the channel lives on the receiving LP, and its pushes
+// travel through single-writer per-edge mailboxes. The mailboxes are
+// double-buffered: senders append to the current buffer while drains read
+// the previous one, which lets the drain fuse into the same barrier phase as
+// event execution — one barrier round per epoch, not two. Messages are
+// flushed into their channels once per epoch, in batch, never handed over
+// individually.
 //
 // Determinism is by construction, not by locking discipline. The global
 // event order is (at, lp, seq), realized as (at, seqBase|seq) on the
 // existing heap comparison: the coordinator owns seqBase 0 and each LP i
 // owns seqBase (i+1)<<lpSeqShift, so tagged sequence numbers compare exactly
 // like the lexicographic pair. Cross-LP messages carry the (at, seq) key
-// reserved from the *sending* LP at send time; draining them into the
-// destination heap in any order yields the same execution order because the
-// keys are globally unique and the window rule guarantees they land at or
-// after the destination's epoch limit. Consequently the serial fallback
+// reserved from the *sending* LP at push time, and the drain inserts each
+// into its channel's ring under that key. One channel's messages come from
+// one edge in push order, so every ring stays FIFO in (at, seq) and its
+// resident head event is the minimum it would have had as one heap event
+// per message; the keys are globally unique and the window rule guarantees
+// they land at or after the destination's epoch limit, so the order in which
+// edges drain is immaterial. Consequently the serial fallback
 // (one worker) and any parallel worker count execute the identical event
 // sequence per LP, bit for bit.
 //
@@ -78,47 +83,31 @@ const lpSeqShift = 48
 // noMsg is the per-edge pending-minimum sentinel for an empty mailbox.
 const noMsg = units.Time(math.MaxInt64)
 
-// remoteMsg is one cross-LP event in flight: the full heap key reserved at
-// send time plus the Action payload, inserted into the destination heap at
-// the epoch flush via atSeq.
+// remoteMsg is one bridged channel push in flight: the full heap key
+// reserved on the sending LP plus the entry payload, inserted into the
+// destination channel's ring at the epoch flush.
 type remoteMsg struct {
 	at  units.Time
 	seq uint64
-	act Action
+	ch  *Channel
 	arg any
 	n   int64
 }
 
-// Remote is a single-writer mailbox endpoint for one directed LP pair.
-// Exactly one goroutine (the one running the source LP's window) may call
-// Send at a time, which the epoch scheduler guarantees.
-type Remote struct {
-	par      *Parallel
-	src, dst int32
-	// eid indexes the pair's mailbox buffers; remotes on the same directed
-	// pair share one edge. Assigned at finalize.
-	eid    int32
-	srcSim *Simulator
-	// minDelay is the link latency registered at creation; Send enforces it
-	// because delays below the pair latency would violate the window
-	// safety argument.
-	minDelay units.Time
-}
-
-// Send schedules act.Run(arg, n) on the destination LP at now+delay, where
-// now is the source LP's clock. delay must be at least the registered link
-// latency.
-func (r *Remote) Send(delay units.Time, act Action, arg any, n int64) {
-	if delay < r.minDelay {
-		panic(fmt.Sprintf("sim: remote send delay %v below registered link latency %v", delay, r.minDelay))
+// send is a bridged channel's push, run by the sending LP: it reserves the
+// entry's key there and appends it to the edge's current mailbox. Exactly
+// one goroutine (the one running the source LP's window) appends to an edge
+// at a time, which the epoch scheduler guarantees. A push less than the
+// wire latency ahead would break the window safety argument, so it panics.
+func (p *Parallel) send(c *Channel, at units.Time, arg any, n int64) {
+	s := c.from
+	if at-s.now < c.lat {
+		panic(fmt.Sprintf("sim: bridged channel push %v ahead, below the wire latency %v", at-s.now, c.lat))
 	}
-	s := r.srcSim
-	at := s.now + delay
-	p := r.par
-	box := &p.curBoxes[r.eid]
-	*box = append(*box, remoteMsg{at: at, seq: s.reserveSeq(), act: act, arg: arg, n: n})
-	if at < p.curMin[r.eid] {
-		p.curMin[r.eid] = at
+	box := &p.curBoxes[c.eid]
+	*box = append(*box, remoteMsg{at: at, seq: s.reserveSeq(), ch: c, arg: arg, n: n})
+	if at < p.curMin[c.eid] {
+		p.curMin[c.eid] = at
 	}
 }
 
@@ -131,8 +120,9 @@ type inEdge struct {
 	lat units.Time
 }
 
-// flatEdge is one directed LP pair in the relaxation list the per-epoch
-// earliest-output-time fixed point iterates over.
+// flatEdge is one directed LP pair with its minimum latency: an entry of the
+// relaxation list the per-epoch earliest-output-time fixed point iterates
+// over, indexed by the pair's edge id.
 type flatEdge struct {
 	src, dst int32
 	lat      units.Time
@@ -146,16 +136,16 @@ type joinFlag struct {
 }
 
 // Parallel is the epoch-barrier scheduler. Build it before the run: create
-// LPs with NewLP, wire cross-LP links with NewRemote, then call RunUntil
-// (repeatedly, with non-decreasing deadlines, to observe intermediate
-// state). The topology is frozen at the first RunUntil.
+// LPs with NewLP, bridge channels between them with Channel.InitFrom, then
+// call RunUntil (repeatedly, with non-decreasing deadlines, to observe
+// intermediate state). The topology is frozen at the first RunUntil.
 type Parallel struct {
 	coord   *Simulator
 	lps     []*Simulator
 	workers int
 
 	// Double-buffered per-edge mailboxes, indexed by edge id (one edge per
-	// directed LP pair that ever registered a Remote). Senders append to
+	// directed LP pair that ever bridged a channel). Senders append to
 	// curBoxes and maintain curMin (the earliest pending timestamp per
 	// edge); the epoch flip swaps cur and prev, and the fused phase drains
 	// prevBoxes while new sends land in the (empty) curBoxes. Exactly one
@@ -164,13 +154,14 @@ type Parallel struct {
 	curBoxes, prevBoxes [][]remoteMsg
 	curMin, prevMin     []units.Time
 
-	// in[d] lists d's incoming edges — the per-destination row of the
-	// pairwise minimum-latency matrix, in registration order — and edges is
-	// the same matrix as a flat relaxation list for the eot fixed point.
-	in      [][]inEdge
-	edges   []flatEdge
-	remotes []*Remote
-	final   bool
+	// edges is the pairwise minimum-latency matrix as a flat relaxation list
+	// for the eot fixed point, in registration order, and pairs maps a
+	// directed (src, dst) pair to its edge id while channels are bridged.
+	// in[d] lists d's incoming edges, built from edges at finalize.
+	in    [][]inEdge
+	edges []flatEdge
+	pairs map[int64]int32
+	final bool
 
 	// order is the LP claim order for a phase, heaviest first so the
 	// long-pole LP starts before the stragglers. It is seeded from the
@@ -233,36 +224,42 @@ func (p *Parallel) NewLP() (*Simulator, int) {
 	}
 	s := New()
 	s.seqBase = uint64(len(p.lps)+1) << lpSeqShift
+	s.par = p
 	p.lps = append(p.lps, s)
 	return s, len(p.lps) - 1
 }
 
-// NewRemote registers a directed cross-LP edge from the LP owning src to
-// LP dst, with the link's propagation delay as its latency contribution to
-// the pair's lookahead. src must be an LP simulator created by NewLP.
-func (p *Parallel) NewRemote(src *Simulator, dst int, latency units.Time) *Remote {
+// lpIndex returns an LP simulator's index, read off its sequence tag.
+func (s *Simulator) lpIndex() int32 { return int32(s.seqBase>>lpSeqShift) - 1 }
+
+// bridge registers a channel from LP src to LP dst, with the wire's
+// propagation delay as its latency contribution to the pair's lookahead, and
+// returns the pair's edge id. Channels on the same directed pair share one
+// edge, whose latency is the smallest registered.
+func (p *Parallel) bridge(src, dst *Simulator, latency units.Time) int32 {
+	if p == nil || dst.par != p {
+		panic("sim: a channel between simulators must join two LPs of one Parallel")
+	}
 	if p.final {
-		panic("sim: NewRemote after the first RunUntil")
+		panic("sim: channel bridged after the first RunUntil")
 	}
 	if latency <= 0 {
-		panic("sim: cross-LP link needs positive latency for lookahead")
+		panic("sim: cross-LP channel needs positive latency for lookahead")
 	}
-	srcIdx := int32(-1)
-	for i, s := range p.lps {
-		if s == src {
-			srcIdx = int32(i)
-			break
-		}
+	e := flatEdge{src: src.lpIndex(), dst: dst.lpIndex(), lat: latency}
+	if p.pairs == nil {
+		p.pairs = make(map[int64]int32)
 	}
-	if srcIdx < 0 {
-		panic("sim: remote source is not a registered LP")
+	key := int64(e.src)<<32 | int64(e.dst)
+	eid, ok := p.pairs[key]
+	if !ok {
+		eid = int32(len(p.edges))
+		p.pairs[key] = eid
+		p.edges = append(p.edges, e)
+	} else if latency < p.edges[eid].lat {
+		p.edges[eid].lat = latency
 	}
-	if dst < 0 || dst >= len(p.lps) {
-		panic("sim: remote destination LP out of range")
-	}
-	r := &Remote{par: p, src: srcIdx, dst: int32(dst), srcSim: src, minDelay: latency}
-	p.remotes = append(p.remotes, r)
-	return r
+	return eid
 }
 
 // AddLPWeight biases the initial heaviest-first claim order with a static
@@ -343,39 +340,21 @@ func (p *Parallel) Reset() {
 	}
 }
 
-// finalize freezes the topology: the per-pair edge set (with minimum
-// latencies), the double-buffered mailbox storage, and the initial claim
-// order are laid out once, from the registered remotes and weight hints.
+// finalize freezes the topology: the per-destination in-edge rows, the
+// double-buffered mailbox storage, and the initial claim order are laid out
+// once, from the bridged edges and weight hints.
 func (p *Parallel) finalize() {
 	if p.final {
 		return
 	}
 	p.final = true
+	p.pairs = nil
 	k := len(p.lps)
 	p.in = make([][]inEdge, k)
-	pair := make(map[int64]int32, len(p.remotes))
-	type edgeMeta struct {
-		src, dst int32
-		lat      units.Time
-	}
-	var edges []edgeMeta
-	for _, r := range p.remotes {
-		key := int64(r.src)<<32 | int64(r.dst)
-		eid, ok := pair[key]
-		if !ok {
-			eid = int32(len(edges))
-			pair[key] = eid
-			edges = append(edges, edgeMeta{src: r.src, dst: r.dst, lat: r.minDelay})
-		} else if r.minDelay < edges[eid].lat {
-			edges[eid].lat = r.minDelay
-		}
-		r.eid = eid
-	}
-	for eid, e := range edges {
+	for eid, e := range p.edges {
 		p.in[e.dst] = append(p.in[e.dst], inEdge{src: e.src, eid: int32(eid), lat: e.lat})
-		p.edges = append(p.edges, flatEdge{src: e.src, dst: e.dst, lat: e.lat})
 	}
-	ne := len(edges)
+	ne := len(p.edges)
 	p.curBoxes = make([][]remoteMsg, ne)
 	p.prevBoxes = make([][]remoteMsg, ne)
 	p.curMin = make([]units.Time, ne)
@@ -621,7 +600,7 @@ func (p *Parallel) doPhase() {
 			return
 		}
 		li := int(p.order[i])
-		p.drainPrevInto(li)
+		p.drain(li, p.prevBoxes, p.prevMin)
 		p.lps[li].runWindow(p.limits[li])
 	}
 }
@@ -630,54 +609,30 @@ func (p *Parallel) doPhase() {
 // without the shared-cursor atomics.
 func (p *Parallel) doPhaseSerial() {
 	for _, li := range p.order {
-		p.drainPrevInto(int(li))
+		p.drain(int(li), p.prevBoxes, p.prevMin)
 		p.lps[li].runWindow(p.limits[li])
 	}
 }
 
-// drainPrevInto flushes every previous-epoch mailbox addressed to LP dst
-// into its heap. Only the goroutine that claimed dst touches dst's heap or
-// its prev boxes, and insert order is immaterial: the reserved (at, seq)
-// keys alone decide execution order.
-func (p *Parallel) drainPrevInto(dst int) {
-	s := p.lps[dst]
+// drain flushes one side of the mailboxes addressed to LP dst into their
+// channels: the epoch phase drains the previous side, the total-order oracle
+// both. Only the goroutine that claimed dst touches dst's channels or these
+// boxes, and edge order is immaterial: the reserved (at, seq) keys alone
+// decide execution order.
+func (p *Parallel) drain(dst int, boxes [][]remoteMsg, mins []units.Time) {
 	for _, e := range p.in[dst] {
-		box := &p.prevBoxes[e.eid]
+		box := &boxes[e.eid]
 		msgs := *box
 		if len(msgs) == 0 {
 			continue
 		}
 		for i := range msgs {
 			m := &msgs[i]
-			s.atSeq(m.at, m.seq, m.act, m.arg, m.n)
+			m.ch.insert(m.at, m.seq, m.arg, m.n)
 			*m = remoteMsg{}
 		}
 		*box = msgs[:0]
-		p.prevMin[e.eid] = noMsg
-	}
-}
-
-// drainAllPending flushes both mailbox buffers for every destination on the
-// calling goroutine. Only the total-order oracle needs it (the epoch
-// scheduler keeps messages pending until their destination's next window).
-func (p *Parallel) drainAllPending() {
-	for d := range p.lps {
-		p.drainPrevInto(d)
-		s := p.lps[d]
-		for _, e := range p.in[d] {
-			box := &p.curBoxes[e.eid]
-			msgs := *box
-			if len(msgs) == 0 {
-				continue
-			}
-			for i := range msgs {
-				m := &msgs[i]
-				s.atSeq(m.at, m.seq, m.act, m.arg, m.n)
-				*m = remoteMsg{}
-			}
-			*box = msgs[:0]
-			p.curMin[e.eid] = noMsg
-		}
+		mins[e.eid] = noMsg
 	}
 }
 
@@ -712,7 +667,11 @@ func (p *Parallel) runUntilTotalOrder(deadline units.Time) {
 	}
 	p.finalize()
 	for {
-		p.drainAllPending()
+		// Drain eagerly, the previous side first: it holds the older pushes.
+		for d := range p.lps {
+			p.drain(d, p.prevBoxes, p.prevMin)
+			p.drain(d, p.curBoxes, p.curMin)
+		}
 		var best *Simulator
 		bt := units.Time(-1)
 		var bseq uint64

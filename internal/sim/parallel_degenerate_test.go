@@ -33,11 +33,7 @@ func buildShape(workers, nlps int, edges [][3]int, active []int, horizon units.T
 		})
 	}
 	for _, e := range edges {
-		n := m.nodes[e[0]]
-		lat := units.Time(e[2])
-		n.outs = append(n.outs, par.NewRemote(n.sim, e[1], lat))
-		n.outLat = append(n.outLat, lat)
-		n.outDst = append(n.outDst, m.nodes[e[1]])
+		m.link(e[0], e[1], units.Time(e[2]))
 	}
 	for _, i := range active {
 		n := m.nodes[i]

@@ -16,16 +16,18 @@ import (
 
 // pnode is one LP's workload: each event folds its (time, payload) into a
 // running hash and then, driven by the node's private rng, schedules more
-// local events and/or sends across random outgoing remotes. The rng draw
-// sequence depends only on the node's own execution order, which the engine
-// contract fixes, so any divergence shows up as a hash mismatch.
+// local events and/or pushes into random outgoing bridged channels. The rng
+// draw sequence depends only on the node's own execution order, which the
+// engine contract fixes, so any divergence shows up as a hash mismatch.
 type pnode struct {
-	sim     *Simulator
-	rng     *rand.Rand
-	hash    uint64
-	outs    []*Remote
+	sim  *Simulator
+	rng  *rand.Rand
+	hash uint64
+	// outs are channels bridged onto other nodes' LPs, with each wire's
+	// latency and the due time of its last push.
+	outs    []*Channel
 	outLat  []units.Time
-	outDst  []*pnode
+	outLast []units.Time
 	horizon units.Time
 }
 
@@ -37,8 +39,12 @@ func (n *pnode) Run(_ any, k int64) {
 	// 0–1 local follow-ups, possibly at zero delay (same-timestamp ties);
 	// together with the remote branch the mean branching factor stays below
 	// one, so trials stay subcritical and the coordinator keeps them fed.
+	// Local delays, jitter, wire latencies and seed times all fall on a
+	// 5-tick grid, so cross-LP deliveries often tie with local events: that
+	// tie-break is what a delivery keyed anywhere but on its sending LP
+	// would flip.
 	if n.rng.Intn(2) == 0 {
-		d := units.Time(n.rng.Intn(40))
+		d := 5 * units.Time(n.rng.Intn(8))
 		n.sim.ScheduleAction(d, n, nil, int64(n.rng.Intn(1000)))
 	}
 	// Maybe a cancelled timer: exercises reaping under every engine.
@@ -46,13 +52,31 @@ func (n *pnode) Run(_ any, k int64) {
 		tm := n.sim.ScheduleAction(units.Time(1+n.rng.Intn(30)), n, nil, -7)
 		tm.Cancel()
 	}
-	// Remote deliveries must run as destination-owned state: the Action is
-	// the destination node, mirroring how a port delivers into the peer LP.
+	// Cross-LP deliveries run as destination-owned state: each channel lives
+	// on the destination's LP with the destination node as its sink,
+	// mirroring a port's wire into the peer LP. The jitter is a delay skew,
+	// clamped to the channel's last push as eport clamps with lastDeliverAt,
+	// so every stream stays FIFO.
 	if len(n.outs) > 0 && n.rng.Intn(3) == 0 {
 		o := n.rng.Intn(len(n.outs))
-		extra := units.Time(n.rng.Intn(25))
-		n.outs[o].Send(n.outLat[o]+extra, n.outDst[o], nil, int64(n.rng.Intn(1000)))
+		at := n.sim.Now() + n.outLat[o] + 5*units.Time(n.rng.Intn(5))
+		if at < n.outLast[o] {
+			at = n.outLast[o]
+		}
+		n.outLast[o] = at
+		n.outs[o].PushAt(at, nil, int64(n.rng.Intn(1000)))
 	}
+}
+
+// link bridges a channel from node src onto node dst's LP with the given
+// wire latency; dst is the channel's sink.
+func (m *pmesh) link(src, dst int, lat units.Time) {
+	from, to := m.nodes[src], m.nodes[dst]
+	c := new(Channel)
+	c.InitFrom(from.sim, to.sim, lat, to)
+	from.outs = append(from.outs, c)
+	from.outLat = append(from.outLat, lat)
+	from.outLast = append(from.outLast, 0)
 }
 
 // pmesh is one built instance of a randomized mesh.
@@ -92,15 +116,11 @@ func buildMesh(seed int64, workers int) *pmesh {
 		if dst == src {
 			continue
 		}
-		lat := units.Time(1 + rng.Intn(20))
-		n := m.nodes[src]
-		n.outs = append(n.outs, par.NewRemote(n.sim, dst, lat))
-		n.outLat = append(n.outLat, lat)
-		n.outDst = append(n.outDst, m.nodes[dst])
+		m.link(src, dst, 5*units.Time(1+rng.Intn(4)))
 	}
 	for i, n := range m.nodes {
 		for j := 1 + rng.Intn(3); j > 0; j-- {
-			n.sim.ScheduleAction(units.Time(rng.Intn(50)), n, nil, int64(i))
+			n.sim.ScheduleAction(5*units.Time(rng.Intn(10)), n, nil, int64(i))
 		}
 	}
 	if rng.Intn(4) != 0 { // most trials have a coordinator workload
@@ -227,21 +247,30 @@ func TestParallelCoordinatorOrdersFirst(t *testing.T) {
 	}
 }
 
-// TestRemoteSendBelowLatencyPanics pins the lookahead-safety guard.
-func TestRemoteSendBelowLatencyPanics(t *testing.T) {
+// TestParallelBridgedPushBelowLatencyPanics pins the lookahead-safety
+// guard: a bridged channel takes a push exactly its wire latency ahead of
+// the sending LP's clock, delivers it on the receiving LP, and panics on a
+// push one tick sooner.
+func TestParallelBridgedPushBelowLatencyPanics(t *testing.T) {
 	coord := New()
 	par := NewParallel(coord, 1)
 	a, _ := par.NewLP()
-	b, bi := par.NewLP()
-	_ = b
-	r := par.NewRemote(a, bi, 10)
-	n := &pnode{sim: a, rng: rand.New(rand.NewSource(1)), horizon: 0}
+	b, _ := par.NewLP()
+	n := &pnode{sim: b, horizon: 0}
+	var c Channel
+	c.InitFrom(a, b, 10, n)
+	par.RunUntil(0)
+	c.Push(10, nil, 0)
+	par.RunUntil(20)
+	if b.Processed() != 1 || n.hash == 0 {
+		t.Fatalf("push at the wire latency: receiving LP ran %d events, want 1", b.Processed())
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Send below registered latency did not panic")
+			t.Error("push below the wire latency did not panic")
 		}
 	}()
-	r.Send(9, n, nil, 0)
+	c.Push(9, nil, 0)
 }
 
 // TestParallelHugeLookaheadNoRemotes exercises the no-cross-LP-links path:

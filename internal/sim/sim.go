@@ -121,6 +121,10 @@ type Simulator struct {
 	// simulator keeps seqBase zero and is bit-identical to the pre-LP
 	// engine.
 	seqBase uint64
+	// par is the Parallel that opened this simulator as an LP (nil for a
+	// coordinator or standalone simulator); bridged channels register their
+	// mailbox edge with it.
+	par *Parallel
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -237,16 +241,6 @@ func (s *Simulator) AtAction(t units.Time, act Action, arg any, n int64) Timer {
 	ev.arg = arg
 	ev.n = n
 	return Timer{ev: ev, gen: ev.gen}
-}
-
-// atSeq schedules act at time t under a sequence number reserved earlier via
-// reserveSeq. It is the Channel re-arm path; no Timer handle is returned
-// because the channel owns the resident event outright.
-func (s *Simulator) atSeq(t units.Time, seq uint64, act Action, arg any, n int64) {
-	ev := s.enqueueSeq(t, seq)
-	ev.act = act
-	ev.arg = arg
-	ev.n = n
 }
 
 // Run executes events until the queue drains.

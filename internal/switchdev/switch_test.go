@@ -54,7 +54,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	r := &rig{s: s, sw: sw}
 	for i := 0; i < 3; i++ {
 		k := &sink{s: s}
-		sw.Port(i).Connect(k)
+		sw.Port(i).Connect(k, s, packet.NewPool())
 		r.sinks = append(r.sinks, k)
 	}
 	// Static route: dst host id == egress port.

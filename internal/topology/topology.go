@@ -251,19 +251,14 @@ func (n *Network) newLPGroup() int {
 func (n *Network) useLP(id int) { n.curLP = id }
 
 // connect wires a full-duplex link between two endpoints and records both
-// directions for routing. A link between LPs becomes a mailbox edge: each
-// direction's deliveries go through a sim.Remote with the link's
-// propagation delay as lookahead, and arriving packets are re-stamped onto
-// the receiving LP's pool.
+// directions for routing. Each direction delivers on the receiving device's
+// simulator and re-stamps arrivals onto its pool, so a link between LPs is a
+// channel bridged through the engine's mailboxes, with the link's
+// propagation delay as lookahead.
 func (n *Network) connect(aNode, aPort, bNode, bPort int) {
-	n.portOf(aNode, aPort).Connect(n.inputOf(bNode, bPort))
-	n.portOf(bNode, bPort).Connect(n.inputOf(aNode, aPort))
-	if la, lb := n.LPOfNode(aNode), n.LPOfNode(bNode); la != lb {
-		ra := n.Par.NewRemote(n.lpSims[la], lb, LinkDelay)
-		n.portOf(aNode, aPort).ConnectRemote(ra, n.lpPools[lb])
-		rb := n.Par.NewRemote(n.lpSims[lb], la, LinkDelay)
-		n.portOf(bNode, bPort).ConnectRemote(rb, n.lpPools[la])
-	}
+	la, lb := n.LPOfNode(aNode), n.LPOfNode(bNode)
+	n.portOf(aNode, aPort).Connect(n.inputOf(bNode, bPort), n.lpSims[lb], n.lpPools[lb])
+	n.portOf(bNode, bPort).Connect(n.inputOf(aNode, aPort), n.lpSims[la], n.lpPools[la])
 	n.peers[endpoint{aNode, aPort}] = endpoint{bNode, bPort}
 	n.peers[endpoint{bNode, bPort}] = endpoint{aNode, aPort}
 	n.Links = append(n.Links,
